@@ -9,9 +9,9 @@ from .kernels import (Kernel, Scene, benchmark_kernel, concentric_shells,
                       cube_uniform, icosphere, rpy_kernel, scaled_d,
                       sphere_lattice, sphere_surface)
 from .krylov import IterationTrace, block_diag_preconditioner, gmres, h2_matvec
-from .lowrank import (BasisUpdate, LowRankFactor, aca_svd, rank_from_reference,
+from .lowrank import (BasisUpdate, LowRankFactor, rank_from_reference,
                       randomized_svd, truncated_svd, weighted_basis_union)
-from .tree import (Cluster, ClusterTopology, DegenerateGeometryError, Octree,
-                   build_octree, compute_topology)
+from .tree import (Cluster, ClusterTopology, DegenerateGeometryError,
+                   NonFiniteGeometryError, Octree, build_octree, compute_topology)
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .dense import dense_matrix
-from .factor import FactorStats, IFMMFactorization, factorize
+from .factor import TIMING_KEYS, FactorStats, IFMMFactorization, factorize
 from .graph import assemble_extended_graph
 from .h2 import H2Operators, chebyshev_operators, initialize_weights
 from .krylov import block_diag_preconditioner, gmres, h2_matvec
@@ -125,7 +125,9 @@ def build_factorization(pipe: Pipeline, config: RunConfig
 
 
 def _report(config, pipe, fct, timings, errors, iteration=None) -> RunReport:
-    stats = fct.stats
+    """`fct` is None for runs without an IFMM factor: empty stats, zero times."""
+    stats, factor_times = ((fct.stats, fct.timings) if fct is not None
+                           else (FactorStats(), dict.fromkeys(TIMING_KEYS, 0.0)))
     rank_stats = {
         "max_basis_rank": stats.max_basis_rank,
         "max_fill_rank": stats.max_fill_rank,
@@ -140,9 +142,7 @@ def _report(config, pipe, fct, timings, errors, iteration=None) -> RunReport:
     edge_stats = {"peak_edges": stats.peak_edges,
                   "n_clusters": stats.n_clusters,
                   "edge_bound_constant": stats.edge_bound_constant}
-    breakdown = {k: fct.timings[k] for k in
-                 ("lu_and_triangular_solves", "matmul_updates",
-                  "lowrank_approximations", "operator_transfer")}
+    breakdown = {k: factor_times[k] for k in TIMING_KEYS}
     cfg = {"kernel": config.kernel, "n_points": pipe.ops.tree.n_points,
            "distribution": config.distribution, "cheb_nodes": config.cheb_nodes,
            "epsilon": config.epsilon, "leaf_target": config.leaf_target,
@@ -228,16 +228,7 @@ def run_iterative(config: RunConfig) -> RunReport:
     iteration = {"iterations": trace.iterations, "converged": trace.converged,
                  "side": trace.side,
                  "residual_history": [float(r) for r in trace.residual_history]}
-    if fct is None:
-        fct = _NoFactor()
     return _report(config, pipe, fct, timings, errors, iteration)
-
-
-class _NoFactor:
-    """Stats placeholder so non-IFMM runs share the report layout."""
-    stats = FactorStats()
-    timings = {k: 0.0 for k in ("lu_and_triangular_solves", "matmul_updates",
-                                "lowrank_approximations", "operator_transfer")}
 
 
 def run_scaling(config: RunConfig, n_values: list[int]) -> list[RunReport]:

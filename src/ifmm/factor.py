@@ -25,8 +25,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .graph import ExtendedGraph, X, estimate_sigma0
-from .lowrank import (BasisUpdate, randomized_svd_dense, truncated_svd,
-                      weighted_basis_union)
+from .lowrank import BasisUpdate, truncated_svd, weighted_basis_union
 
 
 class SingularPivotError(RuntimeError):
@@ -68,8 +67,8 @@ class FactorStats:
         return self.peak_edges / max(self.n_clusters, 1)
 
 
-_TIMING_KEYS = ("lu_and_triangular_solves", "matmul_updates",
-                "lowrank_approximations", "operator_transfer")
+TIMING_KEYS = ("lu_and_triangular_solves", "matmul_updates",
+               "lowrank_approximations", "operator_transfer")
 
 
 class IFMMFactorization:
@@ -185,7 +184,7 @@ def factorize(graph: ExtendedGraph, epsilon: float, seed: int = 0,
         raise ValueError("epsilon must be in (0, 1)")
     tree = graph.tree
     rng = np.random.Generator(np.random.PCG64(seed))
-    timings = {k: 0.0 for k in _TIMING_KEYS}
+    timings = {k: 0.0 for k in TIMING_KEYS}
     timings["sigma0_estimation"] = 0.0
 
     if sigma0 is None:
@@ -326,12 +325,6 @@ def _eliminate_cluster(graph, cid, threshold, rng, events, stats, timings,
                         events, stats, timings)
 
 
-def _compress_fill(M, threshold, rng):
-    if min(M.shape) > 64:
-        return randomized_svd_dense(M, threshold, rng=rng)
-    return truncated_svd(M, threshold)
-
-
 def _identity_update(basis, weights):
     k = basis.shape[1]
     return BasisUpdate(basis, weights.copy(), np.eye(k), np.zeros((k, 0)))
@@ -444,8 +437,8 @@ def redirect_fillin(graph, cj, ck, F_kj, F_jk, threshold, rng, events,
     if ej and ek:
         raise AssertionError("both-eliminated fills are added, not redirected")
 
-    fac_kj = _compress_fill(F_kj, threshold, rng) if F_kj is not None else None
-    fac_jk = _compress_fill(F_jk, threshold, rng) if F_jk is not None else None
+    fac_kj = truncated_svd(F_kj, threshold) if F_kj is not None else None
+    fac_jk = truncated_svd(F_jk, threshold) if F_jk is not None else None
     r1 = fac_kj.rank if fac_kj is not None else 0
     r2 = fac_jk.rank if fac_jk is not None else 0
     if r1 == 0 and r2 == 0:

@@ -159,16 +159,6 @@ def h2_matvec(ops: H2Operators, x: np.ndarray) -> np.ndarray:
     return res.ravel()
 
 
-class H2Matvec:
-    """Callable wrapper caching nothing; keeps gmres call sites tidy."""
-
-    def __init__(self, ops: H2Operators):
-        self.ops = ops
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return h2_matvec(self.ops, x)
-
-
 def block_diag_preconditioner(A: np.ndarray, block_size: int):
     """Factorize the diagonal blocks of A once; apply solves blockwise.
 

@@ -5,6 +5,12 @@ U/V and non-increasing positive singular values; a zero matrix yields a
 rank-0 factor with empty arrays. Truncation thresholds are absolute: the
 caller supplies epsilon * sigma0 where sigma0 is a global reference scale.
 
+Fill-in and basis unions go through one thin SVD. `truncated_svd` first
+screens on the Frobenius norm: since ||M||_2 <= ||M||_F, a block whose
+Frobenius norm is below the threshold has no singular value above it and
+yields rank 0 without an SVD. The randomized SVD is used only for
+the global scale sigma0, where the operator is available as matvecs.
+
 `weighted_basis_union` merges an existing orthonormal basis with a fill-in
 basis, weighting each column by its stored singular value before
 recompressing, and returns the maps that express both inputs in the new
@@ -54,7 +60,10 @@ def _empty_factor(m: int, n: int) -> LowRankFactor:
 def truncated_svd(M: np.ndarray, abs_threshold: float) -> LowRankFactor:
     """Partial SVD keeping exactly the singular triplets with sigma > threshold."""
     M = np.asarray(M, dtype=float)
-    if M.size == 0:
+    # ||M||_2 <= ||M||_F: below the threshold no singular value is above it.
+    # The slack leaves a block at the threshold to the SVD: the two norms of
+    # a rank-1 block are equal, and rounding decides which one is larger.
+    if M.size == 0 or np.linalg.norm(M) <= abs_threshold * (1.0 - 1e-10):
         return _empty_factor(*M.shape)
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     k = int(np.sum(s > abs_threshold))
@@ -119,66 +128,15 @@ def randomized_svd(apply: Callable[[np.ndarray], np.ndarray],
     return LowRankFactor(Q @ Wb[:, :keep], s[:keep].copy(), Vt[:keep].T.copy())
 
 
-def randomized_svd_dense(M: np.ndarray, abs_threshold: float, **kw) -> LowRankFactor:
-    M = np.asarray(M, dtype=float)
-    return randomized_svd(lambda X: M @ X, lambda X: M.T @ X,
-                          M.shape[0], M.shape[1], abs_threshold, **kw)
-
-
-def aca_svd(M: np.ndarray, abs_threshold: float, min_rank: int = 0,
-            margin: float = 8.0) -> LowRankFactor:
-    """Fully pivoted ACA followed by QR-QR-SVD recompression.
-
-    The cross iteration is an LU factorization with full pivoting on the
-    residual; it stops once the pivot magnitude drops to the threshold.
-    The pivot loop runs down to threshold/margin so that the SVD
-    recompression (which truncates at the threshold itself) sees every
-    singular triplet above it; without the margin, an entrywise pivot can
-    sit well below the spectral scale and triplets near the threshold
-    would be missed. Reconstruction error is bounded by a small multiple
-    of the threshold.
-    """
-    M = np.asarray(M, dtype=float)
-    m, n = M.shape
-    if M.size == 0:
-        return _empty_factor(m, n)
-
-    pivot_floor = abs_threshold / margin
-    R = M.copy()
-    cols, rows = [], []
-    max_steps = min(m, n)
-    for _ in range(max_steps):
-        p, q = np.unravel_index(np.argmax(np.abs(R)), R.shape)
-        piv = R[p, q]
-        if piv == 0.0 or (abs(piv) <= pivot_floor and len(cols) >= min_rank):
-            break
-        col = R[:, q].copy()
-        row = R[p, :] / piv
-        cols.append(col)
-        rows.append(row)
-        R -= np.outer(col, row)
-    if not cols:
-        return _empty_factor(m, n)
-
-    A = np.column_stack(cols)
-    B = np.vstack(rows)
-    QA, RA = np.linalg.qr(A)
-    QB, RB = np.linalg.qr(B.T)
-    W, s, Zt = np.linalg.svd(RA @ RB.T)
-    k = max(int(np.sum(s > abs_threshold)), min(min_rank, len(s)))
-    if k == 0:
-        return _empty_factor(m, n)
-    return LowRankFactor(QA @ W[:, :k], s[:k].copy(), QB @ Zt[:k].T)
-
-
 def weighted_basis_union(old_basis: np.ndarray, old_weights: np.ndarray,
                          fill_basis: np.ndarray, fill_weights: np.ndarray,
                          abs_threshold: float, min_rank: int = 0) -> BasisUpdate:
     """Merge an orthonormal basis with a fill-in basis, weighting columns.
 
     Recompresses [old_basis * diag(old_weights) | fill_basis * diag(fill_weights)]
-    and returns maps r, r' with old_basis ~= new_basis @ r and
-    fill_basis ~= new_basis @ r'.
+    with one thin SVD, keeping the singular values above the threshold and
+    at least `min_rank` directions, and returns maps r, r' with
+    old_basis ~= new_basis @ r and fill_basis ~= new_basis @ r'.
     """
     old_weights = np.asarray(old_weights, dtype=float)
     fill_weights = np.asarray(fill_weights, dtype=float)
@@ -191,9 +149,10 @@ def weighted_basis_union(old_basis: np.ndarray, old_weights: np.ndarray,
 
     k_old = old_basis.shape[1]
     concat = np.hstack([old_basis * old_weights, fill_basis * fill_weights])
-    fac = aca_svd(concat, abs_threshold, min_rank=min_rank)
-    phi = fac.V.T  # (k_new, k_old + k_fill), row-orthogonal
-    scaled = fac.sigma[:, None] * phi
+    W, s, phi = np.linalg.svd(concat, full_matrices=False)
+    # min_rank never keeps an exactly zero direction: weights stay positive
+    k = max(int(np.sum(s > abs_threshold)), min(min_rank, int(np.sum(s > 0))))
+    scaled = s[:k, None] * phi[:k]  # phi rows are orthonormal
     old_map = scaled[:, :k_old] / old_weights[None, :]
     fill_map = scaled[:, k_old:] / fill_weights[None, :]
-    return BasisUpdate(fac.U, fac.sigma.copy(), old_map, fill_map)
+    return BasisUpdate(W[:, :k].copy(), s[:k].copy(), old_map, fill_map)

@@ -23,6 +23,10 @@ class DegenerateGeometryError(ValueError):
     """Raised when all input points coincide (zero bounding box)."""
 
 
+class NonFiniteGeometryError(ValueError):
+    """Raised when an input point has a NaN or infinite coordinate."""
+
+
 @dataclass
 class Cluster:
     level: int
@@ -124,6 +128,11 @@ def build_octree(points: np.ndarray, leaf_target: int,
         raise ValueError("points must be an (N, 3) array")
     if len(points) == 0:
         raise ValueError("points must be non-empty")
+    bad = ~np.isfinite(points).all(axis=1)
+    if bad.any():
+        raise NonFiniteGeometryError(
+            f"{int(bad.sum())} point(s) have non-finite coordinates, "
+            f"first at index {int(np.argmax(bad))}")
     if leaf_target < 1:
         raise ValueError("leaf_target must be >= 1")
 

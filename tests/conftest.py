@@ -1,3 +1,11 @@
+import os
+
+# Pin BLAS to one thread before numpy is first imported (OpenBLAS reads the
+# variables once, when it loads): on a 2-core machine the default thread
+# count oversubscribes the cores and bends the timing slope of criterion 3.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

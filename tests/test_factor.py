@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 
 from ifmm.dense import dense_matrix
-from ifmm.factor import (FillinStats, SingularPivotError, _eliminate_cluster,
-                         eliminate_level, factorize, merge_to_parent)
+from ifmm.factor import (TIMING_KEYS, FillinStats, SingularPivotError,
+                         _eliminate_cluster, eliminate_level, factorize,
+                         merge_to_parent)
 from ifmm.graph import assemble_extended_graph, h2_dense
 from ifmm.h2 import chebyshev_operators, initialize_weights
 from ifmm.kernels import Kernel, benchmark_kernel, cube_uniform, rpy_kernel
 from ifmm.tree import build_octree, compute_topology
 
 from conftest import UNIT_BOX, cell_grid_points
-
-TIMING_KEYS = ("lu_and_triangular_solves", "matmul_updates",
-               "lowrank_approximations", "operator_transfer")
 
 
 def setup_problem(n_points=400, seed=5, d=1e-2, n=2, leaf_target=12,
@@ -90,6 +88,14 @@ def test_solve_linearity():
     lhs = fct.solve(1.7 * b1 - 0.3 * b2)
     rhs = 1.7 * fct.solve(b1) - 0.3 * fct.solve(b2)
     assert np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs) < 1e-10
+
+
+def test_solve_rejects_bad_shapes():
+    ops = setup_problem(200)[-1]
+    fct = factorize(assemble_extended_graph(ops), epsilon=1e-4, seed=0)
+    for shape in [(199,), (1, 200), (200, 2), (200, 2, 1), ()]:
+        with pytest.raises(ValueError):
+            fct.solve(np.ones(shape))
 
 
 def test_multiple_rhs_replay_deterministic():

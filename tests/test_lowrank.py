@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
-from ifmm.lowrank import (aca_svd, rank_from_reference, randomized_svd,
-                          randomized_svd_dense, truncated_svd,
+from ifmm.lowrank import (rank_from_reference, randomized_svd, truncated_svd,
                           weighted_basis_union)
+
+
+def dense_oracles(M):
+    """Matvec oracles and shape of a dense matrix, as randomized_svd takes them."""
+    return (lambda X: M @ X), (lambda X: M.T @ X), M.shape[0], M.shape[1]
 
 
 def check_factor(fac, tol=1e-10):
@@ -49,6 +53,37 @@ def test_truncated_svd_error_matches_discarded_sigma():
     assert err == pytest.approx(s_full[7], abs=1e-10)
 
 
+def test_frobenius_screen_keeps_svd_rank(monkeypatch):
+    rng = np.random.default_rng(17)
+    # rank-1 blocks have sigma_1 == ||M||_F, so rounding decides the ties:
+    # for some of these the computed sigma_1 exceeds the computed norm
+    mats = [np.outer(rng.standard_normal(m), rng.standard_normal(n))
+            for m, n in rng.integers(1, 40, size=(12, 2))]
+    mats += [rng.standard_normal((12, 9)),
+             np.outer(rng.standard_normal(20), rng.standard_normal(15))
+             + 1e-3 * rng.standard_normal((20, 15))]
+    cases = []
+    for M in mats:
+        fro = np.linalg.norm(M)
+        s = np.linalg.svd(M, full_matrices=False)[1]  # the unscreened call
+        for scale in (1 + 1e-9, 1 + 1e-15, 1.0, 1 - 1e-15, 1 - 1e-9, 0.5, 1e-3):
+            thr = scale * fro  # ||M||_F just below, at, just above thr
+            cases.append((M, thr, int(np.sum(s > thr))))
+
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **k: calls.append(1) or svd(*a, **k))
+    for M, thr, ref in cases:
+        before = len(calls)
+        fac = truncated_svd(M, thr)
+        assert fac.rank == ref, (M.shape, thr / np.linalg.norm(M))
+        check_factor(fac)
+        if thr > 1.001 * np.linalg.norm(M):
+            assert len(calls) == before  # screened: no SVD was run
+    assert 0 < len(calls) < len(cases)
+
+
 def test_eckart_young_many_random():
     rng = np.random.default_rng(9)
     for trial in range(100):
@@ -77,7 +112,8 @@ def test_randomized_svd_diagonal():
     d = 10.0 ** -np.arange(0, 8)
     M = np.diag(10.0 * d)  # sigma_1 = 10
     rng = np.random.default_rng(0)
-    fac = randomized_svd_dense(M, 1e-9, oversample=10, power_iters=2, rng=rng)
+    fac = randomized_svd(*dense_oracles(M), 1e-9, oversample=10, power_iters=2,
+                         rng=rng)
     assert 9.0 <= fac.sigma[0] <= 10.1
     check_factor(fac)
 
@@ -93,7 +129,8 @@ def test_randomized_svd_exact_rank_recovery():
     rng = np.random.default_rng(6)
     M = rng.standard_normal((30, 5)) @ rng.standard_normal((5, 30))
     s = np.linalg.svd(M, compute_uv=False)
-    fac = randomized_svd_dense(M, 0.5 * s[4], rng=np.random.default_rng(1))
+    fac = randomized_svd(*dense_oracles(M), 0.5 * s[4],
+                         rng=np.random.default_rng(1))
     assert fac.rank == 5
     err = np.linalg.norm(M - fac.matrix()) / np.linalg.norm(M)
     assert err < 1e-8
@@ -101,38 +138,7 @@ def test_randomized_svd_exact_rank_recovery():
 
 def test_randomized_svd_requires_oversample():
     with pytest.raises(ValueError):
-        randomized_svd_dense(np.eye(3), 0.0, oversample=1)
-
-
-def test_aca_exact_rank_two():
-    rng = np.random.default_rng(2)
-    M = rng.standard_normal((12, 9))
-    M = M[:, :2] @ rng.standard_normal((2, 9))
-    fac = aca_svd(M, 1e-12 * np.abs(M).max())
-    assert fac.rank == 2
-    assert np.linalg.norm(M - fac.matrix()) < 1e-10
-    check_factor(fac)
-
-
-def test_aca_identity_threshold_half():
-    fac = aca_svd(np.eye(4), 0.5)
-    assert fac.rank == 4
-
-
-@pytest.mark.parametrize("decay", [1.0, 0.5])
-def test_aca_matches_svd_on_random(decay):
-    rng = np.random.default_rng(8)
-    M = rng.standard_normal((50, 40))
-    u, s, vt = np.linalg.svd(M, full_matrices=False)
-    M = (u * (s * decay ** np.arange(len(s)))) @ vt
-    s_eff = np.linalg.svd(M, compute_uv=False)
-    thr = (1e-3 * s_eff[0]) if decay < 1 else 0.5 * (s_eff[19] + s_eff[20])
-    ref = truncated_svd(M, thr)
-    fac = aca_svd(M, thr)
-    assert abs(fac.rank - ref.rank) <= 1
-    err_aca = np.linalg.norm(M - fac.matrix(), 2)
-    assert err_aca <= 10 * thr
-    check_factor(fac)
+        randomized_svd(*dense_oracles(np.eye(3)), 0.0, oversample=1)
 
 
 def test_weighted_union_same_subspace():

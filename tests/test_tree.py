@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ifmm.tree import DegenerateGeometryError, build_octree, compute_topology
+from ifmm.tree import (DegenerateGeometryError, NonFiniteGeometryError,
+                       build_octree, compute_topology)
 
 from conftest import UNIT_BOX, cell_grid_points
 
@@ -162,6 +163,16 @@ def test_degenerate_geometry_rejected():
     pts = np.tile([[0.3, 0.3, 0.3]], (10, 1))
     with pytest.raises(DegenerateGeometryError):
         build_octree(pts, leaf_target=2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_rejected(bad):
+    pts = np.random.default_rng(0).uniform(0, 1, (500, 3))
+    pts[137, 1] = bad
+    with pytest.raises(NonFiniteGeometryError, match="index 137"):
+        build_octree(pts, leaf_target=20)
+    with pytest.raises(NonFiniteGeometryError):
+        build_octree(pts, leaf_target=20, depth=3, root_box=UNIT_BOX)
 
 
 def test_boundary_point_goes_to_lower_cell():
