@@ -6,12 +6,13 @@ from .factor import IFMMFactorization, SingularPivotError, factorize
 from .graph import ExtendedGraph, assemble_extended_graph, estimate_sigma0, h2_dense
 from .h2 import H2Operators, chebyshev_operators, initialize_weights
 from .kernels import (Kernel, Scene, benchmark_kernel, concentric_shells,
-                      cube_uniform, icosphere, rpy_kernel, scaled_d,
-                      sphere_lattice, sphere_surface)
+                      cube_uniform, icosphere, nonsymmetric_kernel, rpy_kernel,
+                      scaled_d, sphere_lattice, sphere_surface)
 from .krylov import IterationTrace, block_diag_preconditioner, gmres, h2_matvec
 from .lowrank import (BasisUpdate, LowRankFactor, rank_from_reference,
                       randomized_svd, truncated_svd, weighted_basis_union)
 from .tree import (Cluster, ClusterTopology, DegenerateGeometryError,
-                   NonFiniteGeometryError, Octree, build_octree, compute_topology)
+                   DuplicatePointsError, NonFiniteGeometryError, Octree,
+                   build_octree, compute_topology)
 
 __version__ = "0.1.0"

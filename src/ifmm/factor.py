@@ -5,10 +5,12 @@ The Schur complement creates fill-in between every pair of clusters
 adjacent to the eliminated one; fill between neighbors is added to the
 existing dense edges, fill between well-separated clusters is compressed
 against the global threshold epsilon * sigma0(E) and redirected through
-the multipole coupling edges after rebasing the affected cluster's
-interpolation/anterpolation bases. Once a level is fully eliminated, the
-sibling multipole nodes merge into their parent's unknown node and the
-graph has the structure of a one-level-shallower problem.
+the multipole coupling edges. Each live cluster that receives such fill
+has its interpolation/anterpolation bases widened by one basis union over
+all of that elimination's fill factors and is rebased once. Once a level
+is fully eliminated, the sibling multipole nodes merge into their
+parent's unknown node and the graph has the structure of a
+one-level-shallower problem.
 
 The factorization records a replayable event log (pivot factors, edge
 snapshots, rebase maps, merge layouts), so any number of right-hand
@@ -317,12 +319,7 @@ def _eliminate_cluster(graph, cid, threshold, rng, events, stats, timings,
                 fills[(ca, cb)] = F
     timings["matmul_updates"] += time.perf_counter() - t0
 
-    pairs = sorted({(min(ca, cb), max(ca, cb)) for ca, cb in fills})
-    for cj, ck in pairs:
-        F_kj = fills.get((ck, cj))
-        F_jk = fills.get((cj, ck))
-        redirect_fillin(graph, cj, ck, F_kj, F_jk, threshold, rng,
-                        events, stats, timings)
+    redirect_fillin(graph, fills, threshold, rng, events, stats, timings)
 
 
 def _identity_update(basis, weights):
@@ -385,14 +382,13 @@ def _cluster_unions(graph, c, fill_u, wu, fill_v, wv, threshold, rng, stats):
     return bu_u, bu_v
 
 
-def _apply_rebase(graph, c, bu_u, bu_v, partner, events):
+def _apply_rebase(graph, c, bu_u, bu_v, partners, events):
     """Swap in the new U/V bases of cluster c and rebase its edges.
 
-    The pair edges toward `partner` are left untouched; the caller
-    rewrites them with the fill contribution folded in.
+    The edges between c's y node and the y nodes in `partners` are left
+    untouched; the caller rewrites them with the fill folded in.
     """
     nx, nz, ny = graph.node_x[c], graph.node_z[c], graph.node_y[c]
-    partner_y = graph.node_y[partner]
     r, t = bu_u.old_map, bu_v.old_map
     k_new = bu_u.rank
 
@@ -402,11 +398,11 @@ def _apply_rebase(graph, c, bu_u, bu_v, partner, events):
     graph.sigma_v[c] = bu_v.new_weights
 
     for b in sorted(graph.row_sources[ny]):
-        if b in (nz, partner_y):
+        if b == nz or b in partners:
             continue
         graph.set_edge(ny, b, r @ graph.get_edge(ny, b))
     for a in sorted(graph.col_targets[ny]):
-        if a in (nz, partner_y):
+        if a == nz or a in partners:
             continue
         graph.set_edge(a, ny, graph.get_edge(a, ny) @ t.T)
 
@@ -423,93 +419,89 @@ def _apply_rebase(graph, c, bu_u, bu_v, partner, events):
         events.append(("rebase", ny, r))
 
 
-def redirect_fillin(graph, cj, ck, F_kj, F_jk, threshold, rng, events,
-                    stats, timings):
-    """Compress the (cj, ck) fill pair and fold it into the coupling edges.
+def _stack(side):
+    """Side-by-side factor columns and weights of [(partner, basis, sigma)]."""
+    if not side:
+        return None, None
+    return (np.hstack([basis for _, basis, _ in side]),
+            np.concatenate([sigma for _, _, sigma in side]))
 
-    F_kj is the fill block with target ck's active node and source cj's
-    active node (x for a live cluster, y for an eliminated one); F_jk is
-    the reverse. Either may be None (treated as absent).
+
+def _split(fill_map, side):
+    """Columns of a basis update's fill map, by partner cluster."""
+    out, off = {}, 0
+    for p, _, sigma in side:
+        out[p] = fill_map[:, off:off + len(sigma)]
+        off += len(sigma)
+    return out
+
+
+def redirect_fillin(graph, fills, threshold, rng, events, stats, timings):
+    """Compress one elimination's well-separated fills and fold them into
+    the coupling edges.
+
+    `fills` maps (target cluster, source cluster) to the fill block between
+    their active nodes (x for a live cluster, y for an eliminated one).
+    Each fill is screened on its own; every live cluster that receives a
+    kept fill then takes one basis union over all of its fill factors and
+    one rebase, and each kept pair's two y-y edges are rewritten from the
+    edges as they were before the rebase.
     """
     t0 = time.perf_counter()
-    ej = cj in graph.eliminated
-    ek = ck in graph.eliminated
-    if ej and ek:
-        raise AssertionError("both-eliminated fills are added, not redirected")
+    facs = {}
+    kept = []
+    for cj, ck in sorted({(min(ca, cb), max(ca, cb)) for ca, cb in fills}):
+        if cj in graph.eliminated and ck in graph.eliminated:
+            raise AssertionError("both-eliminated fills are added, not redirected")
+        pair = {key: truncated_svd(fills[key], threshold)
+                for key in ((ck, cj), (cj, ck)) if key in fills}
+        pair = {key: fac for key, fac in pair.items() if fac.rank}
+        if not pair:
+            stats.dropped_pairs += 1
+            continue
+        stats.compressed_pairs += 1
+        stats.ranks.append(max(fac.rank for fac in pair.values()))
+        kept.append((cj, ck))
+        facs.update(pair)
 
-    fac_kj = truncated_svd(F_kj, threshold) if F_kj is not None else None
-    fac_jk = truncated_svd(F_jk, threshold) if F_jk is not None else None
-    r1 = fac_kj.rank if fac_kj is not None else 0
-    r2 = fac_jk.rank if fac_jk is not None else 0
-    if r1 == 0 and r2 == 0:
-        stats.dropped_pairs += 1
-        dt = time.perf_counter() - t0
-        stats.compress_time += dt
-        timings["lowrank_approximations"] += dt
-        return
-    stats.compressed_pairs += 1
-    stats.ranks.append(max(r1, r2))
+    # pair edges before any rebase; the rebases below skip them
+    old = {}
+    for cj, ck in kept:
+        for a, b in ((ck, cj), (cj, ck)):
+            ya, yb = graph.node_y[a], graph.node_y[b]
+            blk = graph.get_edge(ya, yb)
+            old[(a, b)] = (blk if blk is not None
+                           else np.zeros((graph.sizes[ya], graph.sizes[yb])))
 
-    yj, yk = graph.node_y[cj], graph.node_y[ck]
-    old_kj = graph.get_edge(yk, yj)
-    old_jk = graph.get_edge(yj, yk)
-    if old_kj is None:
-        old_kj = np.zeros((graph.sizes[yk], graph.sizes[yj]))
-    if old_jk is None:
-        old_jk = np.zeros((graph.sizes[yj], graph.sizes[yk]))
-
-    def parts(fac, m, n):
-        if fac is None or fac.rank == 0:
-            return np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0))
-        return fac.U, fac.sigma, fac.V
-
-    if not ej and not ek:
-        # fills between two live clusters: E'(k,j) ~ U'_k S' V'_j^T
-        m_j = graph.sizes[graph.node_x[cj]]
-        m_k = graph.sizes[graph.node_x[ck]]
-        Ukj, skj, Vkj = parts(fac_kj, m_k, m_j)
-        Ujk, sjk, Vjk = parts(fac_jk, m_j, m_k)
-        bu_u_j, bu_v_j = _cluster_unions(graph, cj, Ujk, sjk, Vkj, skj,
-                                         threshold, rng, stats)
-        bu_u_k, bu_v_k = _cluster_unions(graph, ck, Ukj, skj, Vjk, sjk,
-                                         threshold, rng, stats)
-        _apply_rebase(graph, cj, bu_u_j, bu_v_j, ck, events)
-        _apply_rebase(graph, ck, bu_u_k, bu_v_k, cj, events)
-        rk, rk_p, tk, tk_p = (bu_u_k.old_map, bu_u_k.fillin_map,
-                              bu_v_k.old_map, bu_v_k.fillin_map)
-        rj, rj_p, tj, tj_p = (bu_u_j.old_map, bu_u_j.fillin_map,
-                              bu_v_j.old_map, bu_v_j.fillin_map)
-        new_kj = rk @ old_kj @ tj.T + (rk_p * skj) @ tj_p.T
-        new_jk = rj @ old_jk @ tk.T + (rj_p * sjk) @ tk_p.T
-        graph.set_edge(yk, yj, new_kj)
-        graph.set_edge(yj, yk, new_jk)
-    else:
-        # one cluster eliminated: its factors attach straight to its y node
-        live, dead = (ck, cj) if ej else (cj, ck)
-        if ej:
-            # F_kj: (x_k, y_j) -> U'_k K'(yk, yj);  F_jk: (y_j, x_k) -> K' V'_k^T
-            fu, fv = fac_kj, fac_jk
-        else:
-            # mirror: F_jk: (x_j, y_k);  F_kj: (y_k, x_j)
-            fu, fv = fac_jk, fac_kj
-        m_live = graph.sizes[graph.node_x[live]]
-        n_dead = graph.sizes[graph.node_y[dead]]
-        Ul, sl, Wl = parts(fu, m_live, n_dead)      # fill with live rows
-        Ud, sd, Vl = parts(fv, n_dead, m_live)      # fill with live cols
-        bu_u, bu_v = _cluster_unions(graph, live, Ul, sl, Vl, sd,
+    # one union and one rebase per live cluster: fill U factors (fills
+    # whose target is c) extend U_c, fill V factors (source c) extend V_c
+    r, r_fill, t, t_fill = {}, {}, {}, {}
+    live = sorted({c for pair in kept for c in pair} - graph.eliminated)
+    for c in live:
+        u_side = [(b, f.U, f.sigma) for (a, b), f in sorted(facs.items()) if a == c]
+        v_side = [(a, f.V, f.sigma) for (a, b), f in sorted(facs.items()) if b == c]
+        bu_u, bu_v = _cluster_unions(graph, c, *_stack(u_side), *_stack(v_side),
                                      threshold, rng, stats)
-        _apply_rebase(graph, live, bu_u, bu_v, dead, events)
-        rl, rl_p, tl, tl_p = (bu_u.old_map, bu_u.fillin_map,
-                              bu_v.old_map, bu_v.fillin_map)
-        y_live, y_dead = graph.node_y[live], graph.node_y[dead]
-        old_ld = old_kj if live == ck else old_jk    # (y_live, y_dead)
-        old_dl = old_jk if live == ck else old_kj    # (y_dead, y_live)
-        K_ld = (sl[:, None] * Wl.T) if len(sl) else np.zeros((0, n_dead))
-        K_dl = (Ud * sd) if len(sd) else np.zeros((n_dead, 0))
-        new_ld = rl @ old_ld + rl_p @ K_ld
-        new_dl = old_dl @ tl.T + K_dl @ tl_p.T
-        graph.set_edge(y_live, y_dead, new_ld)
-        graph.set_edge(y_dead, y_live, new_dl)
+        partners = {graph.node_y[p] for pair in kept if c in pair
+                    for p in pair if p != c}
+        _apply_rebase(graph, c, bu_u, bu_v, partners, events)
+        r[c], r_fill[c] = bu_u.old_map, _split(bu_u.fillin_map, u_side)
+        t[c], t_fill[c] = bu_v.old_map, _split(bu_v.fillin_map, v_side)
+
+    # E'(y_a, y_b) = r_a E(y_a, y_b) t_b^T + r'_a S t'_b^T, where a live
+    # side maps through its basis update and an eliminated side keeps the
+    # raw fill factor on its y node
+    for (a, b), blk in old.items():
+        if a in r:
+            blk = r[a] @ blk
+        if b in t:
+            blk = blk @ t[b].T
+        fac = facs.get((a, b))
+        if fac is not None:
+            left = r_fill[a][b] if a in r_fill else fac.U
+            right = t_fill[b][a] if b in t_fill else fac.V
+            blk = blk + (left * fac.sigma) @ right.T
+        graph.set_edge(graph.node_y[a], graph.node_y[b], blk)
     dt = time.perf_counter() - t0
     stats.compress_time += dt
     timings["lowrank_approximations"] += dt

@@ -13,7 +13,8 @@ The extended sparse graph introduces, per cluster at levels >= 2, a local
 variable z (incoming far field) and a multipole variable y (outgoing far
 field), tied to the unknowns by the interpolation edges and -I couplings.
 For a symmetric kernel the edge pattern (and the assembled matrix) is
-symmetric.
+symmetric, and each pair's transposed block is shared; a kernel marked
+non-symmetric has both blocks of every pair evaluated.
 """
 
 from __future__ import annotations
@@ -161,7 +162,11 @@ def chebyshev_operators(tree: Octree, topology: ClusterTopology, kernel: Kernel,
                 gj = grids.setdefault(j, _grid(cl[j].center, cl[j].half_width, n))
                 Kij = reduce_map[i] @ kernel.block(gi, gj) @ reduce_map[j].T
                 coupling[(i, j)] = Kij
-                coupling[(j, i)] = Kij.T  # symmetric kernel
+                if kernel.symmetric:
+                    coupling[(j, i)] = Kij.T
+                else:
+                    coupling[(j, i)] = (reduce_map[j] @ kernel.block(gj, gi)
+                                        @ reduce_map[i].T)
 
     near: dict[tuple[int, int], np.ndarray] = {}
     for i in tree.leaves():
@@ -171,10 +176,11 @@ def chebyshev_operators(tree: Octree, topology: ClusterTopology, kernel: Kernel,
             if (i, j) in near:
                 continue
             cj = cl[j]
-            S = kernel.block(pi, tree.points[cj.start:cj.stop])
+            pj = tree.points[cj.start:cj.stop]
+            S = kernel.block(pi, pj)
             near[(i, j)] = S
             if j != i:
-                near[(j, i)] = S.T  # symmetric kernel
+                near[(j, i)] = S.T if kernel.symmetric else kernel.block(pj, pi)
 
     leaf_v = {cid: U.copy() for cid, U in leaf_u.items()}
     transfer_vt = {cid: T.T.copy() for cid, T in transfer_u.items()}

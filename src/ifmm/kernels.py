@@ -1,10 +1,11 @@
 """Kernel functions, point-cloud generators, and Stokes mobility blocks.
 
-Two kernels are provided: a scalar benchmark kernel that equals 1 on the
-diagonal, grows linearly up to distance d, and decays like d/r beyond,
-and the Rotne-Prager-Yamakawa mobility tensor (3x3 blocks) with the
+Three kernels are provided: a scalar benchmark kernel that equals 1 on
+the diagonal, grows linearly up to distance d, and decays like d/r
+beyond; the Rotne-Prager-Yamakawa mobility tensor (3x3 blocks) with the
 overlap-regularized branch so the assembled matrix stays symmetric
-positive-semidefinite.
+positive-semidefinite; and a smooth non-symmetric scalar kernel whose
+rows are scaled by a linear function of the target point.
 
 Scene generation is deterministic: the same seed always reproduces the
 same points (PCG64 streams are stable across platforms).
@@ -89,6 +90,16 @@ def rpy_kernel(radius: float, viscosity: float = 1.0) -> Kernel:
         return blocks.transpose(0, 2, 1, 3).reshape(3 * m, 3 * n)
 
     return Kernel("rpy", 3, {"radius": radius, "viscosity": viscosity}, block)
+
+
+def nonsymmetric_kernel() -> Kernel:
+    """Scalar kernel (1 + 0.5 x_p) / (0.1 + |p - q|), x_p the first
+    coordinate of the target point p: smooth, and not symmetric."""
+
+    def block(P, Q):
+        return (1.0 + 0.5 * P[:, :1]) / (0.1 + cdist(P, Q))
+
+    return Kernel("nonsymmetric", 1, {}, block, symmetric=False)
 
 
 def scaled_d(base: float, n_points: int, exponent: float) -> float:

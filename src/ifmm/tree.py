@@ -27,6 +27,13 @@ class NonFiniteGeometryError(ValueError):
     """Raised when an input point has a NaN or infinite coordinate."""
 
 
+class DuplicatePointsError(ValueError):
+    """Raised when two input points coincide exactly.
+
+    Equal points give equal kernel rows, so the matrix is singular.
+    """
+
+
 @dataclass
 class Cluster:
     level: int
@@ -145,6 +152,16 @@ def build_octree(points: np.ndarray, leaf_target: int,
         half_width = 0.5 * float((hi - lo).max())
     if half_width <= 0.0:
         raise DegenerateGeometryError("all points coincide; zero bounding box")
+    # lexicographic sort puts equal points next to each other; == treats
+    # -0.0 and 0.0 as equal
+    order = np.lexsort(points.T)
+    same = (points[order[1:]] == points[order[:-1]]).all(axis=1)
+    if same.any():
+        i = int(np.argmax(same))
+        first, second = sorted((int(order[i]), int(order[i + 1])))
+        raise DuplicatePointsError(
+            f"{int(same.sum())} point(s) repeat an earlier one; points "
+            f"{first} and {second} coincide")
 
     if depth is None:
         depth = 2

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+import ifmm.factor
 from ifmm.dense import dense_matrix
 from ifmm.factor import (TIMING_KEYS, FillinStats, SingularPivotError,
                          _eliminate_cluster, eliminate_level, factorize,
                          merge_to_parent)
 from ifmm.graph import assemble_extended_graph, h2_dense
 from ifmm.h2 import chebyshev_operators, initialize_weights
-from ifmm.kernels import Kernel, benchmark_kernel, cube_uniform, rpy_kernel
+from ifmm.kernels import (Kernel, benchmark_kernel, cube_uniform,
+                          nonsymmetric_kernel, rpy_kernel)
 from ifmm.tree import build_octree, compute_topology
 
 from conftest import UNIT_BOX, cell_grid_points
@@ -212,6 +214,89 @@ def test_redirect_preserves_schur_system():
         num = np.linalg.norm(with_c[nx] - without_c[nx])
         den = np.linalg.norm(without_c[nx])
         assert num <= 1e-9 * max(den, 1.0)
+
+
+def test_batched_redirect_matches_dense_over_eliminations(monkeypatch):
+    # several eliminations in Morton order, so later ones redirect fill
+    # between a live cluster and an already eliminated one; the remaining
+    # system must match the one from plain dense fill-in
+    pts, kern, tree, topo, ops = setup_problem(900, leaf_target=40, d=0.2)
+    b = np.random.default_rng(11).standard_normal(len(pts))
+    base = assemble_extended_graph(ops, b=b)
+    cids = tree.levels[tree.depth][:12]
+
+    mixed = []
+    redirect = ifmm.factor.redirect_fillin
+
+    def spy(graph, fills, *args):
+        mixed.append(any((ca in graph.eliminated) != (cb in graph.eliminated)
+                         for ca, cb in fills))
+        return redirect(graph, fills, *args)
+
+    monkeypatch.setattr(ifmm.factor, "redirect_fillin", spy)
+
+    sols = []
+    for compress in (True, False):
+        g = base.copy()
+        rng = np.random.Generator(np.random.PCG64(0))
+        stats = FillinStats(tree.depth)
+        timings = {k: 0.0 for k in TIMING_KEYS}
+        removed = set()
+        for cid in cids:
+            events = []
+            _eliminate_cluster(g, cid, 1e-13, rng, events, stats, timings,
+                               compress_ws=compress)
+            rebased = [ev[1] for ev in events if ev[0] == "rebase"]
+            assert len(rebased) == len(set(rebased))
+            removed |= {g.node_x[cid], g.node_z[cid]}
+        if compress:
+            assert stats.compressed_pairs > 0
+            assert any(mixed)
+        sols.append(live_dense_solve(g, removed))
+
+    with_c, without_c = sols
+    for cid in tree.levels[tree.depth]:
+        if cid in cids:
+            continue
+        nx = base.node_x[cid]
+        num = np.linalg.norm(with_c[nx] - without_c[nx])
+        den = np.linalg.norm(without_c[nx])
+        assert num <= 1e-9 * max(den, 1.0)
+
+
+def test_factorize_calls_traced_names(monkeypatch):
+    # the benchmark's tracer rebinds these module globals of ifmm.factor;
+    # each must still exist and be looked up when factorize runs
+    names = ["estimate_sigma0", "eliminate_level", "merge_to_parent",
+             "redirect_fillin", "truncated_svd", "weighted_basis_union"]
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(ifmm.factor, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(ifmm.factor, name, counted)
+    pts, kern, tree, topo, ops = setup_problem(600, leaf_target=4)
+    assert tree.depth >= 3
+    fct = factorize(assemble_extended_graph(ops), epsilon=1e-6, seed=0)
+    assert all(calls[name] > 0 for name in names), calls
+    # one redirection per eliminated cluster
+    assert calls["redirect_fillin"] == sum(ev[0] == "elim" for ev in fct.events)
+
+
+def test_nonsymmetric_lossless_matches_h2_dense_solve():
+    # leaves larger than the interpolation rank, so that fills are kept
+    # and the U- and V-side unions differ
+    pts, kern, tree, topo, ops = setup_problem(
+        900, leaf_target=40, kernel=nonsymmetric_kernel())
+    fct = factorize(assemble_extended_graph(ops), epsilon=1e-13, seed=0)
+    assert sum(ls.compressed_pairs for ls in fct.stats.levels) > 0
+    b = np.random.default_rng(12).standard_normal(len(pts))
+    x = fct.solve(b)
+    x_ref = reference_solution(ops, tree, b)
+    assert np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref) < 1e-9
 
 
 def test_no_edges_between_well_separated_x_nodes():

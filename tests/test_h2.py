@@ -4,7 +4,7 @@ import pytest
 from ifmm.dense import dense_matrix
 from ifmm.graph import assemble_extended_graph, estimate_sigma0, h2_dense
 from ifmm.h2 import chebyshev_operators, initialize_weights
-from ifmm.kernels import Kernel, benchmark_kernel, cube_uniform
+from ifmm.kernels import Kernel, benchmark_kernel, cube_uniform, nonsymmetric_kernel
 from ifmm.tree import build_octree, compute_topology
 
 from conftest import UNIT_BOX, cell_grid_points
@@ -267,3 +267,19 @@ def test_assemble_requires_weights():
     ops = chebyshev_operators(tree, topo, benchmark_kernel(1e-2), n=2)
     with pytest.raises(ValueError):
         assemble_extended_graph(ops)
+
+
+def test_nonsymmetric_kernel_h2_matches_dense():
+    # both blocks of every coupling and near pair are evaluated, so the
+    # represented matrix is the kernel's own, not its symmetric part
+    kern = nonsymmetric_kernel()
+    pts = cube_uniform(600, seed=3).points
+    P, Q = pts[:5], pts[5:9]
+    assert not np.allclose(kern.block(P, Q), kern.block(Q, P).T)
+    tree, _ = build_octree(pts, 50)
+    topo = compute_topology(tree)
+    ops = chebyshev_operators(tree, topo, kern, 4, epsilon=0.0)
+    initialize_weights(ops, topo)
+    A = dense_matrix(pts, kern)[np.ix_(tree.perm, tree.perm)]
+    err = np.linalg.norm(h2_dense(ops) - A) / np.linalg.norm(A)
+    assert err < 1e-3

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ifmm.tree import (DegenerateGeometryError, NonFiniteGeometryError,
-                       build_octree, compute_topology)
+from ifmm.tree import (DegenerateGeometryError, DuplicatePointsError,
+                       NonFiniteGeometryError, build_octree, compute_topology)
 
 from conftest import UNIT_BOX, cell_grid_points
 
@@ -173,6 +173,24 @@ def test_non_finite_points_rejected(bad):
         build_octree(pts, leaf_target=20)
     with pytest.raises(NonFiniteGeometryError):
         build_octree(pts, leaf_target=20, depth=3, root_box=UNIT_BOX)
+
+
+def test_duplicate_points_rejected():
+    pts = np.random.default_rng(0).uniform(-1, 1, (500, 3))
+    pts[321] = pts[42]
+    with pytest.raises(DuplicatePointsError, match="points 42 and 321"):
+        build_octree(pts, leaf_target=20)
+    # -0.0 and 0.0 are the same coordinate
+    pts = np.random.default_rng(1).uniform(-1, 1, (500, 3))
+    pts[7, 0] = 0.0
+    pts[9] = pts[7]
+    pts[9, 0] = -0.0
+    with pytest.raises(DuplicatePointsError):
+        build_octree(pts, leaf_target=20, depth=3, root_box=(np.zeros(3), 1.0))
+    # all points equal inside a given box: no zero-width box, still duplicates
+    with pytest.raises(DuplicatePointsError):
+        build_octree(np.tile([[0.3, 0.3, 0.3]], (4, 1)), leaf_target=2,
+                     root_box=UNIT_BOX)
 
 
 def test_boundary_point_goes_to_lower_cell():
