@@ -3,14 +3,16 @@
 Each cluster is eliminated as a 2x2 block pivot over its (x, z) nodes.
 The Schur complement creates fill-in between every pair of clusters
 adjacent to the eliminated one; fill between neighbors is added to the
-existing dense edges, fill between well-separated clusters is compressed
-against the global threshold epsilon * sigma0(E) and redirected through
-the multipole coupling edges. Each live cluster that receives such fill
-has its interpolation/anterpolation bases widened by one basis union over
-all of that elimination's fill factors and is rebased once. Once a level
-is fully eliminated, the sibling multipole nodes merge into their
-parent's unknown node and the graph has the structure of a
-one-level-shallower problem.
+existing dense edges. Fill between well-separated clusters is dropped
+when its Frobenius norm is at most the global threshold epsilon *
+sigma0(E), and otherwise redirected through the multipole coupling
+edges: each live cluster that receives such fill has its
+interpolation/anterpolation bases widened by one basis union over that
+elimination's raw fill blocks and is rebased once, and the fill enters
+the coupling edge projected onto the new bases. Once a level is fully
+eliminated, the sibling multipole nodes merge into their parent's
+unknown node and the graph has the structure of a one-level-shallower
+problem.
 
 The factorization records a replayable event log (pivot factors, edge
 snapshots, rebase maps, merge layouts), so any number of right-hand
@@ -27,7 +29,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .graph import ExtendedGraph, X, estimate_sigma0
-from .lowrank import BasisUpdate, truncated_svd, weighted_basis_union
+from .lowrank import BasisUpdate, weighted_basis_union
 
 
 class SingularPivotError(RuntimeError):
@@ -38,6 +40,14 @@ class SingularPivotError(RuntimeError):
 
 @dataclass
 class FillinStats:
+    """Fill census of one level.
+
+    A pair of well-separated clusters is compressed when one of its fills
+    passes the Frobenius screen, and dropped otherwise. `ranks` holds, for
+    each basis union, the rank it adds to its cluster (new rank minus old
+    rank); it is negative when the union drops old directions whose
+    weights are at or below the threshold.
+    """
     level: int
     compressed_pairs: int = 0
     added: int = 0
@@ -353,24 +363,31 @@ def _truncate_update(bu: BasisUpdate, k: int) -> BasisUpdate:
                        bu.old_map[:k], bu.fillin_map[:k])
 
 
-def _cluster_unions(graph, c, fill_u, wu, fill_v, wv, threshold, rng, stats):
-    """U- and V-side basis unions for cluster c, forced to equal rank."""
+def _cluster_unions(graph, c, fill_u, fill_v, threshold, rng, stats):
+    """U- and V-side basis unions for cluster c, forced to equal rank.
+
+    `fill_u` and `fill_v` are lists of raw fill blocks whose columns extend
+    the U and V bases; they enter the union with unit weights.
+    """
     nx, nz = graph.node_x[c], graph.node_z[c]
     Uc = graph.get_edge(nx, nz)
     Vc = graph.get_edge(nz, nx).T
     su, sv = graph.sigma_u[c], graph.sigma_v[c]
 
-    bu_u = (weighted_basis_union(Uc, su, fill_u, wu, threshold)
-            if fill_u is not None and fill_u.shape[1] else _identity_update(Uc, su))
-    bu_v = (weighted_basis_union(Vc, sv, fill_v, wv, threshold)
-            if fill_v is not None and fill_v.shape[1] else _identity_update(Vc, sv))
+    def union(basis, weights, blocks, min_rank=0):
+        fill = np.hstack(blocks)
+        return weighted_basis_union(basis, weights, fill, np.ones(fill.shape[1]),
+                                    threshold, min_rank=min_rank)
+
+    bu_u = union(Uc, su, fill_u) if fill_u else _identity_update(Uc, su)
+    bu_v = union(Vc, sv, fill_v) if fill_v else _identity_update(Vc, sv)
 
     if bu_u.rank != bu_v.rank:
         k = max(bu_u.rank, bu_v.rank)
-        if bu_u.rank < k and fill_u is not None and fill_u.shape[1]:
-            bu_u = weighted_basis_union(Uc, su, fill_u, wu, threshold, min_rank=k)
-        if bu_v.rank < k and fill_v is not None and fill_v.shape[1]:
-            bu_v = weighted_basis_union(Vc, sv, fill_v, wv, threshold, min_rank=k)
+        if bu_u.rank < k and fill_u:
+            bu_u = union(Uc, su, fill_u, k)
+        if bu_v.rank < k and fill_v:
+            bu_v = union(Vc, sv, fill_v, k)
         if bu_u.rank < k:
             bu_u = _extend_update(bu_u, k, threshold, rng)
         if bu_v.rank < k:
@@ -419,88 +436,65 @@ def _apply_rebase(graph, c, bu_u, bu_v, partners, events):
         events.append(("rebase", ny, r))
 
 
-def _stack(side):
-    """Side-by-side factor columns and weights of [(partner, basis, sigma)]."""
-    if not side:
-        return None, None
-    return (np.hstack([basis for _, basis, _ in side]),
-            np.concatenate([sigma for _, _, sigma in side]))
-
-
-def _split(fill_map, side):
-    """Columns of a basis update's fill map, by partner cluster."""
-    out, off = {}, 0
-    for p, _, sigma in side:
-        out[p] = fill_map[:, off:off + len(sigma)]
-        off += len(sigma)
-    return out
-
-
 def redirect_fillin(graph, fills, threshold, rng, events, stats, timings):
-    """Compress one elimination's well-separated fills and fold them into
-    the coupling edges.
+    """Fold one elimination's well-separated fills into the coupling edges.
 
-    `fills` maps (target cluster, source cluster) to the fill block between
-    their active nodes (x for a live cluster, y for an eliminated one).
-    Each fill is screened on its own; every live cluster that receives a
-    kept fill then takes one basis union over all of its fill factors and
-    one rebase, and each kept pair's two y-y edges are rewritten from the
-    edges as they were before the rebase.
+    `fills` maps (target cluster, source cluster) to the fill block F
+    between their active nodes (x for a live cluster, y for an eliminated
+    one). A fill with ||F||_F <= threshold has no singular value above it
+    and is dropped. Every live cluster that receives a kept fill takes one
+    basis union over the raw kept fills (F into it on the U side, F^T of F
+    out of it on the V side) and one rebase; each kept pair's two y-y edges
+    are rewritten from the edges as they were before the rebase.
     """
     t0 = time.perf_counter()
-    facs = {}
-    kept = []
-    for cj, ck in sorted({(min(ca, cb), max(ca, cb)) for ca, cb in fills}):
-        if cj in graph.eliminated and ck in graph.eliminated:
-            raise AssertionError("both-eliminated fills are added, not redirected")
-        pair = {key: truncated_svd(fills[key], threshold)
-                for key in ((ck, cj), (cj, ck)) if key in fills}
-        pair = {key: fac for key, fac in pair.items() if fac.rank}
-        if not pair:
-            stats.dropped_pairs += 1
-            continue
-        stats.compressed_pairs += 1
-        stats.ranks.append(max(fac.rank for fac in pair.values()))
-        kept.append((cj, ck))
-        facs.update(pair)
+    kept = {key: F for key, F in sorted(fills.items())
+            if np.linalg.norm(F) > threshold}
+    pairs = {(min(ca, cb), max(ca, cb)) for ca, cb in fills}
+    kept_pairs = sorted({(min(ca, cb), max(ca, cb)) for ca, cb in kept})
+    if any(cj in graph.eliminated and ck in graph.eliminated for cj, ck in pairs):
+        raise AssertionError("both-eliminated fills are added, not redirected")
+    stats.compressed_pairs += len(kept_pairs)
+    stats.dropped_pairs += len(pairs) - len(kept_pairs)
 
     # pair edges before any rebase; the rebases below skip them
     old = {}
-    for cj, ck in kept:
+    for cj, ck in kept_pairs:
         for a, b in ((ck, cj), (cj, ck)):
             ya, yb = graph.node_y[a], graph.node_y[b]
             blk = graph.get_edge(ya, yb)
             old[(a, b)] = (blk if blk is not None
                            else np.zeros((graph.sizes[ya], graph.sizes[yb])))
 
-    # one union and one rebase per live cluster: fill U factors (fills
-    # whose target is c) extend U_c, fill V factors (source c) extend V_c
-    r, r_fill, t, t_fill = {}, {}, {}, {}
-    live = sorted({c for pair in kept for c in pair} - graph.eliminated)
+    # one union and one rebase per live cluster: fills whose target is c
+    # extend U_c, fills whose source is c extend V_c
+    bus_u, bus_v = {}, {}
+    live = sorted({c for pair in kept_pairs for c in pair} - graph.eliminated)
     for c in live:
-        u_side = [(b, f.U, f.sigma) for (a, b), f in sorted(facs.items()) if a == c]
-        v_side = [(a, f.V, f.sigma) for (a, b), f in sorted(facs.items()) if b == c]
-        bu_u, bu_v = _cluster_unions(graph, c, *_stack(u_side), *_stack(v_side),
-                                     threshold, rng, stats)
-        partners = {graph.node_y[p] for pair in kept if c in pair
+        bu_u, bu_v = _cluster_unions(
+            graph, c, [F for (a, _), F in kept.items() if a == c],
+            [F.T for (_, b), F in kept.items() if b == c], threshold, rng, stats)
+        stats.ranks.append(bu_u.rank - bu_u.old_map.shape[1])
+        partners = {graph.node_y[p] for pair in kept_pairs if c in pair
                     for p in pair if p != c}
         _apply_rebase(graph, c, bu_u, bu_v, partners, events)
-        r[c], r_fill[c] = bu_u.old_map, _split(bu_u.fillin_map, u_side)
-        t[c], t_fill[c] = bu_v.old_map, _split(bu_v.fillin_map, v_side)
+        bus_u[c], bus_v[c] = bu_u, bu_v
 
-    # E'(y_a, y_b) = r_a E(y_a, y_b) t_b^T + r'_a S t'_b^T, where a live
-    # side maps through its basis update and an eliminated side keeps the
-    # raw fill factor on its y node
+    # E'(y_a, y_b) = r_a E(y_a, y_b) t_b^T + W_a^T F W_b, where W is the
+    # new U basis of a live target and the new V basis of a live source;
+    # an eliminated side keeps the fill on its y node unprojected
     for (a, b), blk in old.items():
-        if a in r:
-            blk = r[a] @ blk
-        if b in t:
-            blk = blk @ t[b].T
-        fac = facs.get((a, b))
-        if fac is not None:
-            left = r_fill[a][b] if a in r_fill else fac.U
-            right = t_fill[b][a] if b in t_fill else fac.V
-            blk = blk + (left * fac.sigma) @ right.T
+        if a in bus_u:
+            blk = bus_u[a].old_map @ blk
+        if b in bus_v:
+            blk = blk @ bus_v[b].old_map.T
+        F = kept.get((a, b))
+        if F is not None:
+            if a in bus_u:
+                F = bus_u[a].new_basis.T @ F
+            if b in bus_v:
+                F = F @ bus_v[b].new_basis
+            blk = blk + F
         graph.set_edge(graph.node_y[a], graph.node_y[b], blk)
     dt = time.perf_counter() - t0
     stats.compress_time += dt

@@ -22,7 +22,11 @@ from scipy.spatial.distance import cdist
 
 @dataclass
 class Kernel:
-    """A translation-invariant kernel producing block matrix entries.
+    """A kernel producing block matrix entries.
+
+    The benchmark and RPY kernels depend only on the offset between two
+    points; `nonsymmetric_kernel` also scales each row by a function of its
+    target point, so it is not translation-invariant.
 
     `evaluate(ri, rj)` returns a block_dim x block_dim block; `block(P, Q)`
     assembles the full (len(P)*bd) x (len(Q)*bd) matrix between two point

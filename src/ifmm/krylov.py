@@ -53,15 +53,14 @@ def gmres(apply_A: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
         trace.converged = True
         return np.zeros(n), trace
 
-    V = np.zeros((max_iters + 1, n))
-    H = np.zeros((max_iters + 1, max_iters))
-    cs = np.zeros(max_iters)
-    sn = np.zeros(max_iters)
-    g = np.zeros(max_iters + 1)
-    g[0] = beta
-    V[0] = r0 / beta
+    # the Krylov basis and the rotated Hessenberg columns grow with the
+    # iterations taken, not with max_iters
+    V = [r0 / beta]
+    R: list[np.ndarray] = []            # column k holds H[:k+1, k]
+    cs: list[float] = []
+    sn: list[float] = []
+    g = [beta]
 
-    k_done = 0
     breakdown = False
     for k in range(max_iters):
         if side == "right":
@@ -70,47 +69,51 @@ def gmres(apply_A: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
             w = precond(apply_A(V[k]))
         else:
             w = apply_A(V[k])
+        h = np.zeros(k + 2)
         for i in range(k + 1):          # modified Gram-Schmidt
-            H[i, k] = V[i] @ w
-            w = w - H[i, k] * V[i]
+            h[i] = V[i] @ w
+            w = w - h[i] * V[i]
         h_sub = np.linalg.norm(w)
-        H[k + 1, k] = h_sub
+        h[k + 1] = h_sub
 
         for i in range(k):              # apply stored rotations
-            h0 = cs[i] * H[i, k] + sn[i] * H[i + 1, k]
-            H[i + 1, k] = -sn[i] * H[i, k] + cs[i] * H[i + 1, k]
-            H[i, k] = h0
-        nu = np.hypot(H[k, k], H[k + 1, k])
+            h0 = cs[i] * h[i] + sn[i] * h[i + 1]
+            h[i + 1] = -sn[i] * h[i] + cs[i] * h[i + 1]
+            h[i] = h0
+        nu = np.hypot(h[k], h[k + 1])
         if nu == 0.0:
-            k_done = k
             breakdown = True
             break
-        cs[k] = H[k, k] / nu
-        sn[k] = H[k + 1, k] / nu
-        H[k, k] = nu
-        H[k + 1, k] = 0.0
-        g[k + 1] = -sn[k] * g[k]
+        cs.append(h[k] / nu)
+        sn.append(h[k + 1] / nu)
+        h[k] = nu
+        R.append(h[:k + 1])
+        g.append(-sn[k] * g[k])
         g[k] = cs[k] * g[k]
 
         rel = abs(g[k + 1]) / beta
         trace.residual_history.append(float(rel))
-        k_done = k + 1
         if rel <= tol:
             trace.converged = True
             break
         if h_sub == 0.0:                # exact breakdown: Krylov space exhausted
             breakdown = True
             break
-        V[k + 1] = w / h_sub
+        V.append(w / h_sub)
 
     if breakdown and trace.residual_history:
         trace.converged = trace.residual_history[-1] <= tol
 
-    k = k_done
+    k = len(R)
     x = np.zeros(n)
     if k > 0:
-        y = sla.solve_triangular(H[:k, :k], g[:k])
-        u = V[:k].T @ y
+        H = np.zeros((k, k))
+        for j, col in enumerate(R):
+            H[:j + 1, j] = col
+        y = sla.solve_triangular(H, np.array(g[:k]))
+        u = np.zeros(n)
+        for yi, vi in zip(y, V):
+            u += yi * vi
         x = precond(u) if side == "right" else u
     trace.iterations = k
     return x, trace

@@ -5,16 +5,19 @@ U/V and non-increasing positive singular values; a zero matrix yields a
 rank-0 factor with empty arrays. Truncation thresholds are absolute: the
 caller supplies epsilon * sigma0 where sigma0 is a global reference scale.
 
-Fill-in and basis unions go through one thin SVD. `truncated_svd` first
-screens on the Frobenius norm: since ||M||_2 <= ||M||_F, a block whose
-Frobenius norm is below the threshold has no singular value above it and
-yields rank 0 without an SVD. The randomized SVD is used only for
-the global scale sigma0, where the operator is available as matvecs.
+The factorization compresses fill-in through one thin SVD per basis
+union: `weighted_basis_union` merges an existing orthonormal basis with
+fill-in columns, weighting each column before recompressing, and returns
+the maps that express both inputs in the new basis. The factorization
+passes raw fill blocks with unit weights; since F F^T = U S^2 U^T, this
+gives the same new basis as the fill's singular factors U * S would.
 
-`weighted_basis_union` merges an existing orthonormal basis with a fill-in
-basis, weighting each column by its stored singular value before
-recompressing, and returns the maps that express both inputs in the new
-basis.
+`truncated_svd` keeps the singular triplets above a threshold and first
+screens on the Frobenius norm: since ||M||_2 <= ||M||_F, a block whose
+Frobenius norm is below the threshold yields rank 0 without an SVD. It
+is a public helper and a test reference; the factorization applies the
+same screen to each fill itself. The randomized SVD is used only for the
+global scale sigma0, where the operator is available as matvecs.
 """
 
 from __future__ import annotations
@@ -131,7 +134,10 @@ def randomized_svd(apply: Callable[[np.ndarray], np.ndarray],
 def weighted_basis_union(old_basis: np.ndarray, old_weights: np.ndarray,
                          fill_basis: np.ndarray, fill_weights: np.ndarray,
                          abs_threshold: float, min_rank: int = 0) -> BasisUpdate:
-    """Merge an orthonormal basis with a fill-in basis, weighting columns.
+    """Merge an orthonormal basis with fill-in columns, weighting columns.
+
+    The fill columns need not be orthonormal: the factorization passes raw
+    fill blocks with unit weights.
 
     Recompresses [old_basis * diag(old_weights) | fill_basis * diag(fill_weights)]
     with one thin SVD, keeping the singular values above the threshold and

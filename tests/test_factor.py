@@ -244,14 +244,22 @@ def test_batched_redirect_matches_dense_over_eliminations(monkeypatch):
         removed = set()
         for cid in cids:
             events = []
+            widths = {c: len(w) for c, w in g.sigma_u.items()}
+            n_ranks = len(stats.ranks)
             _eliminate_cluster(g, cid, 1e-13, rng, events, stats, timings,
                                compress_ws=compress)
             rebased = [ev[1] for ev in events if ev[0] == "rebase"]
             assert len(rebased) == len(set(rebased))
+            # each union records the basis width it adds
+            grown = [len(w) - widths[c] for c, w in g.sigma_u.items()
+                     if len(w) != widths[c]]
+            added = [k for k in stats.ranks[n_ranks:] if k]
+            assert sorted(added) == sorted(grown)
             removed |= {g.node_x[cid], g.node_z[cid]}
         if compress:
             assert stats.compressed_pairs > 0
             assert any(mixed)
+            assert stats.max_rank > 0
         sols.append(live_dense_solve(g, removed))
 
     with_c, without_c = sols
@@ -268,7 +276,7 @@ def test_factorize_calls_traced_names(monkeypatch):
     # the benchmark's tracer rebinds these module globals of ifmm.factor;
     # each must still exist and be looked up when factorize runs
     names = ["estimate_sigma0", "eliminate_level", "merge_to_parent",
-             "redirect_fillin", "truncated_svd", "weighted_basis_union"]
+             "redirect_fillin", "weighted_basis_union"]
     calls = dict.fromkeys(names, 0)
     for name in names:
         fn = getattr(ifmm.factor, name)

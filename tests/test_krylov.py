@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from ifmm.dense import dense_matrix
 from ifmm.factor import factorize
 from ifmm.graph import assemble_extended_graph, h2_dense
 from ifmm.h2 import chebyshev_operators, initialize_weights
-from ifmm.kernels import benchmark_kernel, cube_uniform, rpy_kernel, sphere_lattice
+from ifmm.kernels import (benchmark_kernel, cube_uniform, nonsymmetric_kernel,
+                          rpy_kernel, sphere_lattice)
 from ifmm.krylov import block_diag_preconditioner, gmres, h2_matvec
 from ifmm.tree import build_octree, compute_topology
 
@@ -85,6 +88,23 @@ def test_gmres_right_residual_is_true_residual():
                   precond=lambda v: M @ v, side="right")
     rel = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
     assert rel == pytest.approx(tr.residual_history[-1], rel=1e-6, abs=1e-12)
+
+
+def test_gmres_memory_follows_iterations_taken():
+    # three distinct eigenvalues: converged after three iterations, while
+    # a basis sized for max_iters alone would take 501 * n * 8 B = 80 MB
+    n = 20_000
+    d = 1.0 + np.arange(n) % 3
+    b = np.ones(n)
+    tracemalloc.start()
+    try:
+        x, tr = gmres(lambda v: d * v, b, tol=1e-10, max_iters=500)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tr.converged and tr.iterations <= 3
+    np.testing.assert_allclose(x, b / d, rtol=1e-8)
+    assert peak < 4e6
 
 
 def test_gmres_validates_arguments():
@@ -189,3 +209,17 @@ def test_ifmm_preconditioned_gmres_converges_fast():
                      precond=fct.solve, side="right")
     assert tr_pc.converged
     assert tr_pc.iterations < tr_plain.iterations
+
+
+def test_nonsymmetric_ifmm_preconditioned_gmres():
+    pts = cube_uniform(900, seed=13).points
+    tree, ops = make_ops(pts, nonsymmetric_kernel(), n=2, leaf_target=40)
+    fct = factorize(assemble_extended_graph(ops), epsilon=1e-4, seed=0)
+    assert sum(ls.compressed_pairs for ls in fct.stats.levels) > 0
+    b = np.random.default_rng(14).standard_normal(900)
+    tol = 1e-10
+    x, tr = gmres(lambda v: h2_matvec(ops, v), b, tol=tol, max_iters=100,
+                  precond=fct.solve, side="right")
+    assert tr.converged
+    res = np.linalg.norm(h2_matvec(ops, x) - b) / np.linalg.norm(b)
+    assert res <= tol

@@ -210,3 +210,9 @@ def test_weighted_union_min_rank():
     bu5 = weighted_basis_union(U, wu, F, wf, 1e-3, min_rank=5)
     assert bu5.rank == 5
     np.testing.assert_allclose(bu5.new_basis @ bu5.fillin_map, F, atol=1e-8)
+    # a raw unit-weight fill with ||F||_2 <= threshold < ||F||_F adds no
+    # direction (Weyl: sigma_4 <= sigma_4(U * wu) + ||F||_2 = ||F||_2)
+    G, _ = np.linalg.qr(rng.standard_normal((12, 2)))
+    F = 0.9e-3 * G
+    assert np.linalg.norm(F, 2) <= 1e-3 < np.linalg.norm(F)
+    assert weighted_basis_union(U, wu, F, np.ones(2), 1e-3).rank == 3
