@@ -14,10 +14,14 @@ eliminated, the sibling multipole nodes merge into their parent's
 unknown node and the graph has the structure of a one-level-shallower
 problem.
 
-The factorization records a replayable event log (pivot factors, edge
-snapshots, rebase maps, merge layouts), so any number of right-hand
-sides can be pushed through elimination and pulled back through
-substitution without refactorizing.
+The factorization records a replayable event log of three typed
+records: `Elim` (pivot factors and the popped edge snapshots of one
+cluster), `Rebase` (the map onto a widened multipole basis) and `Merge`
+(the layout of siblings' multipole nodes in their parent's x node). The
+log is the only right-hand-side path: `forward_sweep` pushes a
+right-hand side through it, and `IFMMFactorization.solve` pulls the
+solution back by substitution, for any number of right-hand sides
+without refactorizing.
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ class FillinStats:
     """
     level: int
     compressed_pairs: int = 0
-    added: int = 0
     dropped_pairs: int = 0
     ranks: list[int] = field(default_factory=list)
     compress_time: float = 0.0
@@ -83,25 +86,82 @@ TIMING_KEYS = ("lu_and_triangular_solves", "matmul_updates",
                "lowrank_approximations", "operator_transfer")
 
 
+@dataclass(frozen=True, slots=True)
+class Elim:
+    """Elimination of one cluster's (x, z) pair.
+
+    `sources` holds the popped row edges E(x, b) and `targets` the popped
+    column edges E(a, x), each as (node, block).
+    """
+    nx: int
+    nz: int
+    ny: int
+    size_x: int
+    size_z: int
+    lu_piv: tuple[np.ndarray, np.ndarray] | None
+    sources: list[tuple[int, np.ndarray]]
+    targets: list[tuple[int, np.ndarray]]
+
+
+@dataclass(frozen=True, slots=True)
+class Rebase:
+    """Change of y node `ny` onto a widened basis: y_new = r @ y_old."""
+    ny: int
+    r: np.ndarray
+
+
+@dataclass(frozen=True, slots=True)
+class Merge:
+    """Parent x node `px` stacks its children's y nodes, as (node, size)."""
+    px: int
+    parts: list[tuple[int, int]]
+
+
+Event = Elim | Rebase | Merge
+
+
+def forward_sweep(events: list[Event],
+                  rhs: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+    """Push a right-hand side through the recorded elimination.
+
+    `rhs` maps every node present before the first event to the
+    right-hand side of its rows. Returns a new map whose entries for
+    the remaining nodes are the right-hand side of the reduced system
+    and whose entry for an eliminated x node is its right-hand side at
+    elimination. Neither `rhs` nor its arrays are modified.
+    """
+    rhs = dict(rhs)
+    for ev in events:
+        if isinstance(ev, Elim):
+            g = _pivot_solve(ev.lu_piv,
+                             np.concatenate([rhs[ev.nx], np.zeros(ev.size_z)]))
+            for a, blk in ev.targets:
+                rhs[a] = rhs[a] - blk @ g[:ev.size_x]
+            rhs[ev.ny] = rhs[ev.ny] + g[ev.size_x:]
+        elif isinstance(ev, Rebase):
+            rhs[ev.ny] = ev.r @ rhs[ev.ny]
+        else:
+            rhs[ev.px] = np.concatenate([rhs[cy] for cy, _ in ev.parts]) \
+                if ev.parts else np.zeros(0)
+    return rhs
+
+
+@dataclass(eq=False)
 class IFMMFactorization:
     """Replayable elimination log plus the top-level dense factor."""
-
-    def __init__(self, n_points, block_dim, perm, init_sizes, leaf_slices,
-                 events, top_nodes, top_sizes, top_lu, epsilon, sigma0,
-                 stats, timings):
-        self.n_points = n_points
-        self.block_dim = block_dim
-        self.perm = perm
-        self.init_sizes = init_sizes
-        self.leaf_slices = leaf_slices      # (x node, start, stop) point slices
-        self.events = events
-        self.top_nodes = top_nodes
-        self.top_sizes = top_sizes
-        self.top_lu = top_lu
-        self.epsilon = epsilon
-        self.sigma0 = sigma0
-        self.stats = stats
-        self.timings = timings
+    n_points: int
+    block_dim: int
+    perm: np.ndarray
+    init_sizes: list[int]
+    leaf_slices: list[tuple[int, int, int]]   # (x node, start, stop) point slices
+    events: list[Event]
+    top_nodes: list[int]
+    top_sizes: list[int]
+    top_lu: tuple[np.ndarray, np.ndarray] | None
+    epsilon: float
+    sigma0: float
+    stats: FactorStats
+    timings: dict[str, float]
 
     @property
     def dim(self) -> int:
@@ -117,24 +177,8 @@ class IFMMFactorization:
 
         rhs = {nid: np.zeros(s) for nid, s in enumerate(self.init_sizes)}
         for nx, start, stop in self.leaf_slices:
-            rhs[nx] = bt[start * bd:stop * bd].copy()
-
-        for ev in self.events:
-            tag = ev[0]
-            if tag == "elim":
-                _, nx, nz, ny, size_x, size_z, lu_piv, sources, targets = ev
-                g = _pivot_solve(lu_piv,
-                                 np.concatenate([rhs[nx], np.zeros(size_z)]))
-                for a, blk in targets:
-                    rhs[a] = rhs[a] - blk @ g[:size_x]
-                rhs[ny] = rhs[ny] + g[size_x:]
-            elif tag == "rebase":
-                _, ny, r = ev
-                rhs[ny] = r @ rhs[ny]
-            else:  # merge
-                _, px, parts = ev
-                rhs[px] = np.concatenate([rhs[cy] for cy, _ in parts]) \
-                    if parts else np.zeros(0)
+            rhs[nx] = bt[start * bd:stop * bd]
+        rhs = forward_sweep(self.events, rhs)
 
         sol: dict[int, np.ndarray] = {}
         if self.top_nodes:
@@ -146,20 +190,17 @@ class IFMMFactorization:
                 off += s
 
         for ev in reversed(self.events):
-            tag = ev[0]
-            if tag == "elim":
-                _, nx, nz, ny, size_x, size_z, lu_piv, sources, targets = ev
-                rx = rhs[nx].copy()
-                for bnode, blk in sources:
+            if isinstance(ev, Elim):
+                rx = rhs[ev.nx].copy()
+                for bnode, blk in ev.sources:
                     rx -= blk @ sol[bnode]
-                xz = _pivot_solve(lu_piv, np.concatenate([rx, sol[ny]]))
-                sol[nx] = xz[:size_x]
-                sol[nz] = xz[size_x:]
-            elif tag == "merge":
-                _, px, parts = ev
+                xz = _pivot_solve(ev.lu_piv, np.concatenate([rx, sol[ev.ny]]))
+                sol[ev.nx] = xz[:ev.size_x]
+                sol[ev.nz] = xz[ev.size_x:]
+            elif isinstance(ev, Merge):
                 off = 0
-                for cy, s in parts:
-                    sol[cy] = sol[px][off:off + s]
+                for cy, s in ev.parts:
+                    sol[cy] = sol[ev.px][off:off + s]
                     off += s
 
         out_t = np.concatenate([sol[nx] for nx, _, _ in self.leaf_slices])
@@ -210,7 +251,7 @@ def factorize(graph: ExtendedGraph, epsilon: float, seed: int = 0,
     leaf_slices = [(graph.node_x[c], tree.clusters[c].start, tree.clusters[c].stop)
                    for c in tree.leaves()]
 
-    events: list = []
+    events: list[Event] = []
     stats = FactorStats(n_clusters=tree.n_clusters)
 
     for level in range(tree.depth, 1, -1):
@@ -236,9 +277,11 @@ def factorize(graph: ExtendedGraph, epsilon: float, seed: int = 0,
     stats.forced_rank_truncations = sum(
         ls.forced_rank_truncations for ls in stats.levels)
 
-    return IFMMFactorization(tree.n_points, bd, graph.tree.perm, init_sizes,
-                             leaf_slices, events, top_nodes, top_sizes, top_lu,
-                             epsilon, sigma0, stats, timings)
+    return IFMMFactorization(
+        n_points=tree.n_points, block_dim=bd, perm=tree.perm,
+        init_sizes=init_sizes, leaf_slices=leaf_slices, events=events,
+        top_nodes=top_nodes, top_sizes=top_sizes, top_lu=top_lu,
+        epsilon=epsilon, sigma0=sigma0, stats=stats, timings=timings)
 
 
 def _assemble_top(graph: ExtendedGraph, top_nodes, top_sizes):
@@ -258,7 +301,7 @@ def _assemble_top(graph: ExtendedGraph, top_nodes, top_sizes):
 
 
 def eliminate_level(graph: ExtendedGraph, level: int, threshold: float,
-                    rng: np.random.Generator, events: list,
+                    rng: np.random.Generator, events: list[Event],
                     timings: dict) -> FillinStats:
     """Eliminate the (x, z) pair of every cluster at `level`, Morton order."""
     stats = FillinStats(level)
@@ -267,8 +310,7 @@ def eliminate_level(graph: ExtendedGraph, level: int, threshold: float,
     return stats
 
 
-def _eliminate_cluster(graph, cid, threshold, rng, events, stats, timings,
-                       compress_ws: bool = True):
+def _eliminate_cluster(graph, cid, threshold, rng, events, stats, timings):
     nx = graph.node_x[cid]
     nz = graph.node_z[cid]
     ny = graph.node_y[cid]
@@ -289,7 +331,7 @@ def _eliminate_cluster(graph, cid, threshold, rng, events, stats, timings,
     if graph.row_sources[nz] or graph.col_targets[nz]:
         raise AssertionError("z node unexpectedly has extra edges")
 
-    events.append(("elim", nx, nz, ny, size_x, size_z, lu_piv, sources, targets))
+    events.append(Elim(nx, nz, ny, size_x, size_z, lu_piv, sources, targets))
     graph.eliminated.add(cid)
 
     # Schur complement columns: X_b = P^{-1} [E(x,b); 0], plus the column
@@ -301,11 +343,6 @@ def _eliminate_cluster(graph, cid, threshold, rng, events, stats, timings,
     xcols[ny] = _pivot_solve(lu_piv, np.vstack(
         [np.zeros((size_x, size_z)), -np.eye(size_z)]))
 
-    # keep the stored right-hand side in lockstep with the elimination
-    g = _pivot_solve(lu_piv, np.concatenate([graph.rhs[nx], np.zeros(size_z)]))
-    for a, blk in targets:
-        graph.rhs[a] = graph.rhs[a] - blk @ g[:size_x]
-    graph.rhs[ny] = graph.rhs[ny] + g[size_x:]
     timings["lu_and_triangular_solves"] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -319,12 +356,10 @@ def _eliminate_cluster(graph, cid, threshold, rng, events, stats, timings,
             F = Xb[size_x:, :] if a == ny else -(Ea @ Xb[:size_x, :])
             cb = graph.cluster_of[b]
             both_done = ca in graph.eliminated and cb in graph.eliminated
-            if (not compress_ws) or both_done \
-                    or graph.topology.are_neighbors(ca, cb):
+            if both_done or graph.topology.are_neighbors(ca, cb):
                 # neighbor fill, or fill between two multipole nodes whose
                 # same-level coupling edge already exists: add in place
                 graph.add_to_edge(a, b, F)
-                stats.added += 1
             else:
                 fills[(ca, cb)] = F
     timings["matmul_updates"] += time.perf_counter() - t0
@@ -431,9 +466,8 @@ def _apply_rebase(graph, c, bu_u, bu_v, partners, events):
     graph.set_edge(nz, ny, -eye)
     graph.set_edge(ny, nz, -eye.copy())
 
-    graph.rhs[ny] = r @ graph.rhs[ny]
     if not (r.shape[0] == r.shape[1] and np.array_equal(r, np.eye(r.shape[0]))):
-        events.append(("rebase", ny, r))
+        events.append(Rebase(ny, r))
 
 
 def redirect_fillin(graph, fills, threshold, rng, events, stats, timings):
@@ -501,7 +535,8 @@ def redirect_fillin(graph, fills, threshold, rng, events, stats, timings):
     timings["lowrank_approximations"] += dt
 
 
-def merge_to_parent(graph: ExtendedGraph, level: int, events: list) -> None:
+def merge_to_parent(graph: ExtendedGraph, level: int,
+                    events: list[Event]) -> None:
     """Join the multipole nodes of siblings into their parent's x node."""
     tree = graph.tree
     parent_x: dict[int, int] = {}
@@ -519,9 +554,7 @@ def merge_to_parent(graph: ExtendedGraph, level: int, events: list) -> None:
         px = graph._new_node(off, X, pid)
         graph.node_x[pid] = px
         parent_x[pid] = px
-        graph.rhs[px] = np.concatenate([graph.rhs[cy] for cy, _ in parts]) \
-            if parts else np.zeros(0)
-        events.append(("merge", px, parts))
+        events.append(Merge(px, parts))
 
     owner = {}
     for pid in tree.levels[level - 1]:

@@ -12,9 +12,8 @@ The initial edge pattern realizes, per level l from the leaves up,
     V^T x - y = 0        (rows of z nodes)
     -z + K y + U_parent z_parent = 0   (rows of y nodes)
 
-with the parent term absent at the top level. The right-hand side lives
-on the x rows. Edge counts are tracked so elimination-time sparsity can
-be asserted.
+with the parent term absent at the top level. Edge counts are tracked
+so elimination-time sparsity can be asserted.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ X, Z, Y = "x", "z", "y"
 
 
 class ExtendedGraph:
-    def __init__(self, ops: H2Operators, b: np.ndarray | None = None):
+    def __init__(self, ops: H2Operators):
         tree = ops.tree
         bd = ops.block_dim
         self.ops = ops
@@ -45,7 +44,6 @@ class ExtendedGraph:
         self.edges: dict[tuple[int, int], np.ndarray] = {}
         self.row_sources: dict[int, set[int]] = {}
         self.col_targets: dict[int, set[int]] = {}
-        self.rhs: dict[int, np.ndarray] = {}
         self.eliminated: set[int] = set()
         self.sigma_u = {c: w.copy() for c, w in ops.sigma_u.items()}
         self.sigma_v = {c: w.copy() for c, w in ops.sigma_v.items()}
@@ -84,7 +82,6 @@ class ExtendedGraph:
             self.set_edge(self.node_z[parent], self.node_y[cid], Tt.copy())
 
         self._layout = None
-        self.set_rhs(b)
 
     # -- node/edge bookkeeping -------------------------------------------
 
@@ -95,7 +92,6 @@ class ExtendedGraph:
         self.cluster_of.append(cluster)
         self.row_sources[nid] = set()
         self.col_targets[nid] = set()
-        self.rhs[nid] = np.zeros(size)
         return nid
 
     def set_edge(self, t: int, s: int, block: np.ndarray) -> None:
@@ -123,21 +119,6 @@ class ExtendedGraph:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    def set_rhs(self, b: np.ndarray | None) -> None:
-        """Load a right-hand side given in the original point ordering."""
-        for nid in self.rhs:
-            self.rhs[nid] = np.zeros(self.sizes[nid])
-        if b is None:
-            return
-        bd = self.block_dim
-        if len(b) != self.tree.n_points * bd:
-            raise ValueError("rhs length mismatch")
-        bt = np.asarray(b, dtype=float).reshape(self.tree.n_points, bd)
-        bt = bt[self.tree.perm].ravel()
-        for cid in self.tree.leaves():
-            c = self.tree.clusters[cid]
-            self.rhs[self.node_x[cid]] = bt[c.start * bd:c.stop * bd].copy()
 
     # -- whole-graph operator --------------------------------------------
 
@@ -177,13 +158,6 @@ class ExtendedGraph:
             E[off[t]:off[t] + blk.shape[0], off[s]:off[s] + blk.shape[1]] = blk
         return E
 
-    def full_rhs(self) -> np.ndarray:
-        off, total = self._offsets()
-        f = np.zeros(total)
-        for nid, r in self.rhs.items():
-            f[off[nid]:off[nid] + len(r)] = r
-        return f
-
     def sparsity_pattern(self) -> dict:
         """JSON-able dump of node sizes and edge keys."""
         nodes = [{"id": i, "kind": self.kinds[i], "cluster": self.cluster_of[i],
@@ -191,42 +165,16 @@ class ExtendedGraph:
         edges = sorted([t, s] for (t, s) in self.edges)
         return {"nodes": nodes, "edges": edges}
 
-    def copy(self) -> "ExtendedGraph":
-        """Deep copy (new edge arrays); for experiments over one assembly."""
-        g = object.__new__(ExtendedGraph)
-        g.ops = self.ops
-        g.tree = self.tree
-        g.topology = self.topology
-        g.block_dim = self.block_dim
-        g.sizes = list(self.sizes)
-        g.kinds = list(self.kinds)
-        g.cluster_of = list(self.cluster_of)
-        g.node_x = dict(self.node_x)
-        g.node_z = dict(self.node_z)
-        g.node_y = dict(self.node_y)
-        g.edges = {k: v.copy() for k, v in self.edges.items()}
-        g.row_sources = {k: set(v) for k, v in self.row_sources.items()}
-        g.col_targets = {k: set(v) for k, v in self.col_targets.items()}
-        g.rhs = {k: v.copy() for k, v in self.rhs.items()}
-        g.eliminated = set(self.eliminated)
-        g.sigma_u = {k: v.copy() for k, v in self.sigma_u.items()}
-        g.sigma_v = {k: v.copy() for k, v in self.sigma_v.items()}
-        g.peak_edges = self.peak_edges
-        g._layout = None
-        return g
 
-
-def assemble_extended_graph(ops: H2Operators, topology=None,
-                            b: np.ndarray | None = None) -> ExtendedGraph:
+def assemble_extended_graph(ops: H2Operators) -> ExtendedGraph:
     """Build the extended sparse graph for the given operators.
 
-    Requires initialized basis weights. `b` is in the original point
-    ordering; it is permuted onto the leaf x rows.
+    Requires initialized basis weights.
     """
     if ops.tree.depth >= 2 and not ops.sigma_u:
         raise ValueError("operators have no basis weights; "
                          "run initialize_weights first")
-    return ExtendedGraph(ops, b)
+    return ExtendedGraph(ops)
 
 
 def estimate_sigma0(graph: ExtendedGraph, seed: int = 0,

@@ -28,3 +28,18 @@ def cell_grid_points(cells_per_axis: int, occupied=None) -> np.ndarray:
 
 
 UNIT_BOX = (np.array([0.5, 0.5, 0.5]), 0.5)
+
+
+def node_rhs(graph, b: np.ndarray) -> dict:
+    """Right-hand side of each node of a freshly assembled graph.
+
+    `b` is in the original point ordering and lands on the leaf x rows;
+    every other row has a zero right-hand side.
+    """
+    bd = graph.block_dim
+    bt = b.reshape(-1, bd)[graph.tree.perm].ravel()
+    rhs = {n: np.zeros(s) for n, s in enumerate(graph.sizes)}
+    for cid in graph.tree.leaves():
+        c = graph.tree.clusters[cid]
+        rhs[graph.node_x[cid]] = bt[c.start * bd:c.stop * bd]
+    return rhs

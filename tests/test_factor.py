@@ -3,8 +3,9 @@ import pytest
 
 import ifmm.factor
 from ifmm.dense import dense_matrix
-from ifmm.factor import (TIMING_KEYS, FillinStats, SingularPivotError,
-                         _eliminate_cluster, eliminate_level, factorize,
+from ifmm.factor import (TIMING_KEYS, Elim, FillinStats, Rebase,
+                         SingularPivotError, _eliminate_cluster,
+                         eliminate_level, factorize, forward_sweep,
                          merge_to_parent)
 from ifmm.graph import assemble_extended_graph, h2_dense
 from ifmm.h2 import chebyshev_operators, initialize_weights
@@ -12,7 +13,7 @@ from ifmm.kernels import (Kernel, benchmark_kernel, cube_uniform,
                           nonsymmetric_kernel, rpy_kernel)
 from ifmm.tree import build_octree, compute_topology
 
-from conftest import UNIT_BOX, cell_grid_points
+from conftest import UNIT_BOX, cell_grid_points, node_rhs
 
 
 def setup_problem(n_points=400, seed=5, d=1e-2, n=2, leaf_target=12,
@@ -104,10 +105,14 @@ def test_multiple_rhs_replay_deterministic():
     pts, kern, tree, topo, ops = setup_problem(250)
     b1, b2 = np.random.default_rng(5).standard_normal((2, 250))
 
+    b1_in = b1.copy()
+
     fct = factorize(assemble_extended_graph(ops), epsilon=1e-4, seed=7)
     x1, x2 = fct.solve(b1), fct.solve(b2)
-    # same factorization, repeated solve: bitwise identical
+    # same factorization, repeated solve: bitwise identical, and the
+    # right-hand side is left as it was
     assert np.array_equal(fct.solve(b1), x1)
+    assert np.array_equal(b1, b1_in)
     # independent factorize with the same seed: bitwise identical
     fct2 = factorize(assemble_extended_graph(ops), epsilon=1e-4, seed=7)
     assert np.array_equal(fct2.solve(b1), x1)
@@ -158,15 +163,22 @@ def test_first_corner_elimination_has_no_compression():
             assert topo.are_neighbors(j, k)
 
 
-def live_dense_solve(graph, removed_nodes):
-    """Oracle: dense solve of the remaining system with the live rhs."""
+def live_dense_solve(graph, rhs, removed_nodes=frozenset()):
+    """Oracle: dense solve of the remaining system with node rhs `rhs`."""
     off, total = graph._offsets()
     live = [n for n in range(len(graph.sizes)) if n not in removed_nodes]
     idx = np.concatenate([np.arange(off[n], off[n] + graph.sizes[n])
                           for n in live]).astype(int)
     E = graph.dense_matrix()[np.ix_(idx, idx)]
-    f = graph.full_rhs()[idx]
-    w = np.linalg.solve(E, f)
+    parts = []
+    for n in live:
+        if graph.kinds[n] == "z":
+            # z rows keep a zero right-hand side, which no event resizes
+            assert not rhs[n].any()
+            parts.append(np.zeros(graph.sizes[n]))
+        else:
+            parts.append(rhs[n])
+    w = np.linalg.solve(E, np.concatenate(parts))
     out = {}
     pos = 0
     for n in live:
@@ -175,14 +187,32 @@ def live_dense_solve(graph, removed_nodes):
     return out
 
 
+def assert_reduced_matches_unreduced(base, graph, events, eliminated, b):
+    """The reduced system, with b pushed through `events`, has the live x
+    solution of the unreduced extended system `base`."""
+    removed = {n for c in eliminated
+               for n in (graph.node_x[c], graph.node_z[c])}
+    rhs = node_rhs(base, b)
+    reduced = live_dense_solve(graph, forward_sweep(events, rhs), removed)
+    full = live_dense_solve(base, rhs)
+    tree = base.tree
+    for cid in tree.levels[tree.depth]:
+        if cid in eliminated:
+            continue
+        nx = base.node_x[cid]
+        num = np.linalg.norm(reduced[nx] - full[nx])
+        den = np.linalg.norm(full[nx])
+        assert num <= 1e-9 * max(den, 1.0)
+
+
 def test_redirect_preserves_schur_system():
     # eliminating one cluster with compression+redirection must leave a
-    # remaining system equivalent to the one from plain dense fill-in;
-    # leaves are kept larger than the interpolation rank so the
-    # x-to-x Schur fill is nonzero
+    # remaining system equivalent to the unreduced one; leaves are kept
+    # larger than the interpolation rank so the x-to-x Schur fill is
+    # nonzero
     pts, kern, tree, topo, ops = setup_problem(900, leaf_target=40, d=0.2)
     b = np.random.default_rng(6).standard_normal(len(pts))
-    base = assemble_extended_graph(ops, b=b)
+    base = assemble_extended_graph(ops)
 
     # pick a cluster whose elimination creates well-separated fill
     target = None
@@ -193,36 +223,22 @@ def test_redirect_preserves_schur_system():
             break
     assert target is not None
 
-    sols = []
-    for compress in (True, False):
-        g = base.copy()
-        rng = np.random.Generator(np.random.PCG64(0))
-        stats = FillinStats(tree.depth)
-        events, timings = [], {k: 0.0 for k in TIMING_KEYS}
-        _eliminate_cluster(g, target, 1e-13, rng, events, stats, timings,
-                           compress_ws=compress)
-        if compress:
-            assert stats.compressed_pairs > 0
-        removed = {g.node_x[target], g.node_z[target]}
-        sols.append(live_dense_solve(g, removed))
-
-    with_c, without_c = sols
-    for cid in tree.levels[tree.depth]:
-        if cid == target:
-            continue
-        nx = base.node_x[cid]
-        num = np.linalg.norm(with_c[nx] - without_c[nx])
-        den = np.linalg.norm(without_c[nx])
-        assert num <= 1e-9 * max(den, 1.0)
+    g = assemble_extended_graph(ops)
+    rng = np.random.Generator(np.random.PCG64(0))
+    stats = FillinStats(tree.depth)
+    events, timings = [], {k: 0.0 for k in TIMING_KEYS}
+    _eliminate_cluster(g, target, 1e-13, rng, events, stats, timings)
+    assert stats.compressed_pairs > 0
+    assert_reduced_matches_unreduced(base, g, events, {target}, b)
 
 
 def test_batched_redirect_matches_dense_over_eliminations(monkeypatch):
     # several eliminations in Morton order, so later ones redirect fill
     # between a live cluster and an already eliminated one; the remaining
-    # system must match the one from plain dense fill-in
+    # system must stay equivalent to the unreduced one
     pts, kern, tree, topo, ops = setup_problem(900, leaf_target=40, d=0.2)
     b = np.random.default_rng(11).standard_normal(len(pts))
-    base = assemble_extended_graph(ops, b=b)
+    base = assemble_extended_graph(ops)
     cids = tree.levels[tree.depth][:12]
 
     mixed = []
@@ -235,41 +251,28 @@ def test_batched_redirect_matches_dense_over_eliminations(monkeypatch):
 
     monkeypatch.setattr(ifmm.factor, "redirect_fillin", spy)
 
-    sols = []
-    for compress in (True, False):
-        g = base.copy()
-        rng = np.random.Generator(np.random.PCG64(0))
-        stats = FillinStats(tree.depth)
-        timings = {k: 0.0 for k in TIMING_KEYS}
-        removed = set()
-        for cid in cids:
-            events = []
-            widths = {c: len(w) for c, w in g.sigma_u.items()}
-            n_ranks = len(stats.ranks)
-            _eliminate_cluster(g, cid, 1e-13, rng, events, stats, timings,
-                               compress_ws=compress)
-            rebased = [ev[1] for ev in events if ev[0] == "rebase"]
-            assert len(rebased) == len(set(rebased))
-            # each union records the basis width it adds
-            grown = [len(w) - widths[c] for c, w in g.sigma_u.items()
-                     if len(w) != widths[c]]
-            added = [k for k in stats.ranks[n_ranks:] if k]
-            assert sorted(added) == sorted(grown)
-            removed |= {g.node_x[cid], g.node_z[cid]}
-        if compress:
-            assert stats.compressed_pairs > 0
-            assert any(mixed)
-            assert stats.max_rank > 0
-        sols.append(live_dense_solve(g, removed))
-
-    with_c, without_c = sols
-    for cid in tree.levels[tree.depth]:
-        if cid in cids:
-            continue
-        nx = base.node_x[cid]
-        num = np.linalg.norm(with_c[nx] - without_c[nx])
-        den = np.linalg.norm(without_c[nx])
-        assert num <= 1e-9 * max(den, 1.0)
+    g = assemble_extended_graph(ops)
+    rng = np.random.Generator(np.random.PCG64(0))
+    stats = FillinStats(tree.depth)
+    timings = {k: 0.0 for k in TIMING_KEYS}
+    all_events = []
+    for cid in cids:
+        events = []
+        widths = {c: len(w) for c, w in g.sigma_u.items()}
+        n_ranks = len(stats.ranks)
+        _eliminate_cluster(g, cid, 1e-13, rng, events, stats, timings)
+        rebased = [ev.ny for ev in events if isinstance(ev, Rebase)]
+        assert len(rebased) == len(set(rebased))
+        # each union records the basis width it adds
+        grown = [len(w) - widths[c] for c, w in g.sigma_u.items()
+                 if len(w) != widths[c]]
+        added = [k for k in stats.ranks[n_ranks:] if k]
+        assert sorted(added) == sorted(grown)
+        all_events += events
+    assert stats.compressed_pairs > 0
+    assert any(mixed)
+    assert stats.max_rank > 0
+    assert_reduced_matches_unreduced(base, g, all_events, set(cids), b)
 
 
 def test_factorize_calls_traced_names(monkeypatch):
@@ -291,7 +294,8 @@ def test_factorize_calls_traced_names(monkeypatch):
     fct = factorize(assemble_extended_graph(ops), epsilon=1e-6, seed=0)
     assert all(calls[name] > 0 for name in names), calls
     # one redirection per eliminated cluster
-    assert calls["redirect_fillin"] == sum(ev[0] == "elim" for ev in fct.events)
+    assert calls["redirect_fillin"] == sum(isinstance(ev, Elim)
+                                           for ev in fct.events)
 
 
 def test_nonsymmetric_lossless_matches_h2_dense_solve():
@@ -421,7 +425,7 @@ def test_dropped_fill_means_no_rebase():
     pts, kern, tree, topo, ops = setup_problem(300, leaf_target=6)
     graph = assemble_extended_graph(ops)
     fct = factorize(graph, epsilon=0.9, seed=0)
-    assert all(ev[0] != "rebase" for ev in fct.events)
+    assert not any(isinstance(ev, Rebase) for ev in fct.events)
     assert all(ls.compressed_pairs == 0 for ls in fct.stats.levels)
 
 

@@ -7,7 +7,7 @@ from ifmm.h2 import chebyshev_operators, initialize_weights
 from ifmm.kernels import Kernel, benchmark_kernel, cube_uniform, nonsymmetric_kernel
 from ifmm.tree import build_octree, compute_topology
 
-from conftest import UNIT_BOX, cell_grid_points
+from conftest import UNIT_BOX, cell_grid_points, node_rhs
 
 
 def make_ops(points, kernel, n, leaf_target=10, epsilon=0.0, depth=None,
@@ -152,9 +152,8 @@ def test_graph_no_far_field_reduces_to_near():
     assert not ops.coupling
     graph = assemble_extended_graph(ops)
     b = np.random.default_rng(0).standard_normal(8)
-    graph.set_rhs(b)
     E = graph.dense_matrix()
-    w = np.linalg.solve(E, graph.full_rhs())
+    w = np.linalg.solve(E, np.concatenate(list(node_rhs(graph, b).values())))
     S = kern.block(tree.points, tree.points)
     x_ref = np.linalg.solve(S, b[tree.perm])
     np.testing.assert_allclose(w[:8], x_ref, rtol=1e-10)
@@ -166,9 +165,8 @@ def test_extended_solve_matches_h2_dense_solve():
     tree, topo, ops = make_ops(pts, kern, n=2, leaf_target=12)
     graph = assemble_extended_graph(ops)
     b = np.random.default_rng(1).standard_normal(400)
-    graph.set_rhs(b)
     E = graph.dense_matrix()
-    w = np.linalg.solve(E, graph.full_rhs())
+    w = np.linalg.solve(E, np.concatenate(list(node_rhs(graph, b).values())))
     A_h2 = h2_dense(ops)
     x_ref = np.linalg.solve(A_h2, b[tree.perm])
     np.testing.assert_allclose(w[:400], x_ref, atol=1e-9 * np.abs(x_ref).max())
