@@ -57,7 +57,6 @@ class FillinStats:
     dropped_pairs: int = 0
     ranks: list[int] = field(default_factory=list)
     compress_time: float = 0.0
-    forced_rank_truncations: int = 0
 
     @property
     def max_rank(self) -> int:
@@ -75,7 +74,7 @@ class FactorStats:
     n_clusters: int = 0
     max_basis_rank: int = 0
     max_fill_rank: int = 0
-    forced_rank_truncations: int = 0
+    forced_rank_truncations: int = 0   # always 0: the unions reach equal rank
 
     @property
     def edge_bound_constant(self) -> float:
@@ -232,11 +231,12 @@ def factorize(graph: ExtendedGraph, epsilon: float, seed: int = 0,
     Fill-in between well-separated clusters is compressed with absolute
     threshold epsilon * sigma0, where sigma0 is the leading singular
     value of the initial extended matrix (estimated here unless given).
+    `seed` seeds only that estimate; elimination draws no random numbers,
+    so with `sigma0` given the factorization does not depend on `seed`.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
     tree = graph.tree
-    rng = np.random.Generator(np.random.PCG64(seed))
     timings = {k: 0.0 for k in TIMING_KEYS}
     timings["sigma0_estimation"] = 0.0
 
@@ -256,7 +256,7 @@ def factorize(graph: ExtendedGraph, epsilon: float, seed: int = 0,
 
     for level in range(tree.depth, 1, -1):
         stats.levels.append(
-            eliminate_level(graph, level, threshold, rng, events, timings))
+            eliminate_level(graph, level, threshold, events, timings))
         if level > 2:
             t0 = time.perf_counter()
             merge_to_parent(graph, level, events)
@@ -274,8 +274,6 @@ def factorize(graph: ExtendedGraph, epsilon: float, seed: int = 0,
     stats.peak_edges = graph.peak_edges
     stats.max_basis_rank = max((len(w) for w in graph.sigma_u.values()), default=0)
     stats.max_fill_rank = max((ls.max_rank for ls in stats.levels), default=0)
-    stats.forced_rank_truncations = sum(
-        ls.forced_rank_truncations for ls in stats.levels)
 
     return IFMMFactorization(
         n_points=tree.n_points, block_dim=bd, perm=tree.perm,
@@ -301,16 +299,15 @@ def _assemble_top(graph: ExtendedGraph, top_nodes, top_sizes):
 
 
 def eliminate_level(graph: ExtendedGraph, level: int, threshold: float,
-                    rng: np.random.Generator, events: list[Event],
-                    timings: dict) -> FillinStats:
+                    events: list[Event], timings: dict) -> FillinStats:
     """Eliminate the (x, z) pair of every cluster at `level`, Morton order."""
     stats = FillinStats(level)
     for cid in graph.tree.levels[level]:
-        _eliminate_cluster(graph, cid, threshold, rng, events, stats, timings)
+        _eliminate_cluster(graph, cid, threshold, events, stats, timings)
     return stats
 
 
-def _eliminate_cluster(graph, cid, threshold, rng, events, stats, timings):
+def _eliminate_cluster(graph, cid, threshold, events, stats, timings):
     nx = graph.node_x[cid]
     nz = graph.node_z[cid]
     ny = graph.node_y[cid]
@@ -364,7 +361,7 @@ def _eliminate_cluster(graph, cid, threshold, rng, events, stats, timings):
                 fills[(ca, cb)] = F
     timings["matmul_updates"] += time.perf_counter() - t0
 
-    redirect_fillin(graph, fills, threshold, rng, events, stats, timings)
+    redirect_fillin(graph, fills, threshold, events, stats, timings)
 
 
 def _identity_update(basis, weights):
@@ -372,37 +369,13 @@ def _identity_update(basis, weights):
     return BasisUpdate(basis, weights.copy(), np.eye(k), np.zeros((k, 0)))
 
 
-def _extend_update(bu: BasisUpdate, k_target: int, floor: float,
-                   rng: np.random.Generator) -> BasisUpdate:
-    """Pad a basis update with orthonormal complement directions.
-
-    The extra directions carry zero reconstruction maps and a weight at
-    the truncation threshold; they only widen the representation space.
-    """
-    m, k = bu.new_basis.shape
-    extra = min(k_target, m) - k
-    if extra <= 0:
-        return bu
-    G = rng.standard_normal((m, extra))
-    G -= bu.new_basis @ (bu.new_basis.T @ G)
-    Q, _ = np.linalg.qr(G)
-    w = max(floor, 1e-14 * (bu.new_weights.max() if k else 1.0))
-    return BasisUpdate(np.hstack([bu.new_basis, Q[:, :extra]]),
-                       np.concatenate([bu.new_weights, np.full(extra, w)]),
-                       np.vstack([bu.old_map, np.zeros((extra, bu.old_map.shape[1]))]),
-                       np.vstack([bu.fillin_map, np.zeros((extra, bu.fillin_map.shape[1]))]))
-
-
-def _truncate_update(bu: BasisUpdate, k: int) -> BasisUpdate:
-    return BasisUpdate(bu.new_basis[:, :k], bu.new_weights[:k],
-                       bu.old_map[:k], bu.fillin_map[:k])
-
-
-def _cluster_unions(graph, c, fill_u, fill_v, threshold, rng, stats):
-    """U- and V-side basis unions for cluster c, forced to equal rank.
+def _cluster_unions(graph, c, fill_u, fill_v, threshold):
+    """U- and V-side basis unions for cluster c, at equal rank.
 
     `fill_u` and `fill_v` are lists of raw fill blocks whose columns extend
-    the U and V bases; they enter the union with unit weights.
+    the U and V bases; they enter the union with unit weights. The z and y
+    nodes are tied by -I edges, so both sides must end at one rank: the
+    side of lower rank is unioned again with that rank as its minimum.
     """
     nx, nz = graph.node_x[c], graph.node_z[c]
     Uc = graph.get_edge(nx, nz)
@@ -410,27 +383,17 @@ def _cluster_unions(graph, c, fill_u, fill_v, threshold, rng, stats):
     su, sv = graph.sigma_u[c], graph.sigma_v[c]
 
     def union(basis, weights, blocks, min_rank=0):
-        fill = np.hstack(blocks)
+        fill = np.hstack(blocks) if blocks else np.zeros((basis.shape[0], 0))
         return weighted_basis_union(basis, weights, fill, np.ones(fill.shape[1]),
                                     threshold, min_rank=min_rank)
 
     bu_u = union(Uc, su, fill_u) if fill_u else _identity_update(Uc, su)
     bu_v = union(Vc, sv, fill_v) if fill_v else _identity_update(Vc, sv)
-
-    if bu_u.rank != bu_v.rank:
-        k = max(bu_u.rank, bu_v.rank)
-        if bu_u.rank < k and fill_u:
-            bu_u = union(Uc, su, fill_u, k)
-        if bu_v.rank < k and fill_v:
-            bu_v = union(Vc, sv, fill_v, k)
-        if bu_u.rank < k:
-            bu_u = _extend_update(bu_u, k, threshold, rng)
-        if bu_v.rank < k:
-            bu_v = _extend_update(bu_v, k, threshold, rng)
-        if bu_u.rank != bu_v.rank:  # complement exhausted on one side
-            k = min(bu_u.rank, bu_v.rank)
-            bu_u, bu_v = _truncate_update(bu_u, k), _truncate_update(bu_v, k)
-            stats.forced_rank_truncations += 1
+    k = max(bu_u.rank, bu_v.rank)
+    if bu_u.rank < k:
+        bu_u = union(Uc, su, fill_u, k)
+    elif bu_v.rank < k:
+        bu_v = union(Vc, sv, fill_v, k)
     return bu_u, bu_v
 
 
@@ -470,7 +433,7 @@ def _apply_rebase(graph, c, bu_u, bu_v, partners, events):
         events.append(Rebase(ny, r))
 
 
-def redirect_fillin(graph, fills, threshold, rng, events, stats, timings):
+def redirect_fillin(graph, fills, threshold, events, stats, timings):
     """Fold one elimination's well-separated fills into the coupling edges.
 
     `fills` maps (target cluster, source cluster) to the fill block F
@@ -507,7 +470,7 @@ def redirect_fillin(graph, fills, threshold, rng, events, stats, timings):
     for c in live:
         bu_u, bu_v = _cluster_unions(
             graph, c, [F for (a, _), F in kept.items() if a == c],
-            [F.T for (_, b), F in kept.items() if b == c], threshold, rng, stats)
+            [F.T for (_, b), F in kept.items() if b == c], threshold)
         stats.ranks.append(bu_u.rank - bu_u.old_map.shape[1])
         partners = {graph.node_y[p] for pair in kept_pairs if c in pair
                     for p in pair if p != c}
@@ -537,54 +500,34 @@ def redirect_fillin(graph, fills, threshold, rng, events, stats, timings):
 
 def merge_to_parent(graph: ExtendedGraph, level: int,
                     events: list[Event]) -> None:
-    """Join the multipole nodes of siblings into their parent's x node."""
+    """Join the multipole nodes of siblings into their parent's x node.
+
+    Every edge of a child y node moves into the edge of its parent's x
+    node, at the child's offset; the other end stays where it is unless
+    it is a child y node too.
+    """
     tree = graph.tree
-    parent_x: dict[int, int] = {}
-    offsets: dict[int, int] = {}
+    parent: dict[int, tuple[int, int]] = {}  # child y -> (parent x, offset)
     for pid in tree.levels[level - 1]:
-        children = tree.clusters[pid].children
-        parts = []
-        off = 0
-        for c in children:
-            cy = graph.node_y[c]
-            offsets[cy] = off
-            s = graph.sizes[cy]
-            parts.append((cy, s))
-            off += s
-        px = graph._new_node(off, X, pid)
+        parts = [(graph.node_y[c], graph.sizes[graph.node_y[c]])
+                 for c in tree.clusters[pid].children]
+        px = graph._new_node(sum(s for _, s in parts), X, pid)
         graph.node_x[pid] = px
-        parent_x[pid] = px
+        off = 0
+        for cy, s in parts:
+            parent[cy] = (px, off)
+            off += s
         events.append(Merge(px, parts))
 
-    owner = {}
-    for pid in tree.levels[level - 1]:
-        for c in tree.clusters[pid].children:
-            owner[graph.node_y[c]] = pid
+    def place(node):
+        return parent.get(node, (node, 0))
 
-    moved = [(t, s) for (t, s) in graph.edges if t in owner or s in owner]
+    moved = [(t, s) for (t, s) in graph.edges if t in parent or s in parent]
     for (t, s) in moved:
         blk = graph.pop_edge(t, s)
-        if t in owner and s in owner:
-            px, qx = parent_x[owner[t]], parent_x[owner[s]]
-            tgt = graph.get_edge(px, qx)
-            if tgt is None:
-                tgt = np.zeros((graph.sizes[px], graph.sizes[qx]))
-                graph.set_edge(px, qx, tgt)
-            tgt[offsets[t]:offsets[t] + blk.shape[0],
-                offsets[s]:offsets[s] + blk.shape[1]] += blk
-        elif t in owner:
-            # transfer column edge E(y_child, z_parent) -> U(p_x, p_z) rows
-            px = parent_x[owner[t]]
-            tgt = graph.get_edge(px, s)
-            if tgt is None:
-                tgt = np.zeros((graph.sizes[px], graph.sizes[s]))
-                graph.set_edge(px, s, tgt)
-            tgt[offsets[t]:offsets[t] + blk.shape[0], :] += blk
-        else:
-            # transfer row edge E(z_parent, y_child) -> V^T(p_z, p_x) cols
-            qx = parent_x[owner[s]]
-            tgt = graph.get_edge(t, qx)
-            if tgt is None:
-                tgt = np.zeros((graph.sizes[t], graph.sizes[qx]))
-                graph.set_edge(t, qx, tgt)
-            tgt[:, offsets[s]:offsets[s] + blk.shape[1]] += blk
+        (pt, row), (ps, col) = place(t), place(s)
+        tgt = graph.get_edge(pt, ps)
+        if tgt is None:
+            tgt = np.zeros((graph.sizes[pt], graph.sizes[ps]))
+            graph.set_edge(pt, ps, tgt)
+        tgt[row:row + blk.shape[0], col:col + blk.shape[1]] += blk

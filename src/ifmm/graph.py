@@ -18,6 +18,8 @@ so elimination-time sparsity can be asserted.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .h2 import H2Operators
@@ -81,8 +83,6 @@ class ExtendedGraph:
             parent = tree.clusters[cid].parent
             self.set_edge(self.node_z[parent], self.node_y[cid], Tt.copy())
 
-        self._layout = None
-
     # -- node/edge bookkeeping -------------------------------------------
 
     def _new_node(self, size: int, kind: str, cluster: int) -> int:
@@ -123,17 +123,16 @@ class ExtendedGraph:
     # -- whole-graph operator --------------------------------------------
 
     def _offsets(self):
-        if self._layout is None:
-            off, total = [], 0
-            for s in self.sizes:
-                off.append(total)
-                total += s
-            self._layout = (off, total)
-        return self._layout
+        """Row offset of every node in the full vector, and its length.
+
+        Computed from the current sizes: elimination resizes and adds nodes.
+        """
+        off = list(itertools.accumulate(self.sizes, initial=0))
+        return off, off[-1]
 
     @property
     def dim(self) -> int:
-        return self._offsets()[1]
+        return sum(self.sizes)
 
     def apply(self, w: np.ndarray) -> np.ndarray:
         """Action of the extended sparse matrix on a full node vector."""

@@ -10,7 +10,11 @@ union: `weighted_basis_union` merges an existing orthonormal basis with
 fill-in columns, weighting each column before recompressing, and returns
 the maps that express both inputs in the new basis. The factorization
 passes raw fill blocks with unit weights; since F F^T = U S^2 U^T, this
-gives the same new basis as the fill's singular factors U * S would.
+gives the same new basis as the fill's singular factors U * S would. A
+union asked for more directions (`min_rank`) than the inputs span is
+completed deterministically from the complement columns of a full SVD,
+so the U- and V-side bases of a cluster can be brought to equal rank
+without random numbers.
 
 `truncated_svd` keeps the singular triplets above a threshold and first
 screens on the Frobenius norm: since ||M||_2 <= ||M||_F, a block whose
@@ -136,13 +140,18 @@ def weighted_basis_union(old_basis: np.ndarray, old_weights: np.ndarray,
                          abs_threshold: float, min_rank: int = 0) -> BasisUpdate:
     """Merge an orthonormal basis with fill-in columns, weighting columns.
 
-    The fill columns need not be orthonormal: the factorization passes raw
-    fill blocks with unit weights.
+    The fill columns need not be orthonormal (the factorization passes raw
+    fill blocks with unit weights), and there may be none: an (m, 0) fill
+    block recompresses the old basis alone.
 
     Recompresses [old_basis * diag(old_weights) | fill_basis * diag(fill_weights)]
     with one thin SVD, keeping the singular values above the threshold and
     at least `min_rank` directions, and returns maps r, r' with
-    old_basis ~= new_basis @ r and fill_basis ~= new_basis @ r'.
+    old_basis ~= new_basis @ r and fill_basis ~= new_basis @ r'. When
+    `min_rank` exceeds the number of nonzero singular values, the basis is
+    completed with complement columns of a full SVD; they carry zero maps
+    and the weight max(threshold, 1e-14 * largest weight). A `min_rank`
+    above the row count raises ValueError.
     """
     old_weights = np.asarray(old_weights, dtype=float)
     fill_weights = np.asarray(fill_weights, dtype=float)
@@ -153,12 +162,20 @@ def weighted_basis_union(old_basis: np.ndarray, old_weights: np.ndarray,
     if np.any(old_weights <= 0.0) or np.any(fill_weights <= 0.0):
         raise ValueError("weights must be positive")
 
+    if min_rank > old_basis.shape[0]:
+        raise ValueError("min_rank exceeds the basis row count")
+
     k_old = old_basis.shape[1]
     concat = np.hstack([old_basis * old_weights, fill_basis * fill_weights])
     W, s, phi = np.linalg.svd(concat, full_matrices=False)
-    # min_rank never keeps an exactly zero direction: weights stay positive
-    k = max(int(np.sum(s > abs_threshold)), min(min_rank, int(np.sum(s > 0))))
-    scaled = s[:k, None] * phi[:k]  # phi rows are orthonormal
+    k = max(int(np.sum(s > abs_threshold)), min_rank)
+    if k > np.count_nonzero(s):  # complete the basis from the full SVD
+        W, s, phi = np.linalg.svd(concat)
+    r = min(k, np.count_nonzero(s))
+    scaled = np.zeros((k, concat.shape[1]))
+    scaled[:r] = s[:r, None] * phi[:r]  # phi rows are orthonormal
+    weights = np.full(k, max(abs_threshold, 1e-14 * (s[0] if r else 1.0)))
+    weights[:r] = s[:r]
     old_map = scaled[:, :k_old] / old_weights[None, :]
     fill_map = scaled[:, k_old:] / fill_weights[None, :]
-    return BasisUpdate(W[:, :k].copy(), s[:k].copy(), old_map, fill_map)
+    return BasisUpdate(W[:, :k].copy(), weights, old_map, fill_map)

@@ -4,9 +4,9 @@ import pytest
 import ifmm.factor
 from ifmm.dense import dense_matrix
 from ifmm.factor import (TIMING_KEYS, Elim, FillinStats, Rebase,
-                         SingularPivotError, _eliminate_cluster,
-                         eliminate_level, factorize, forward_sweep,
-                         merge_to_parent)
+                         SingularPivotError, _cluster_unions,
+                         _eliminate_cluster, eliminate_level, factorize,
+                         forward_sweep, merge_to_parent)
 from ifmm.graph import assemble_extended_graph, h2_dense
 from ifmm.h2 import chebyshev_operators, initialize_weights
 from ifmm.kernels import (Kernel, benchmark_kernel, cube_uniform,
@@ -131,7 +131,6 @@ def test_fill_classification_matches_brute_force():
     initialize_weights(ops, topo)
     graph = assemble_extended_graph(ops)
 
-    rng = np.random.Generator(np.random.PCG64(0))
     events, timings = [], {k: 0.0 for k in TIMING_KEYS}
     eliminated = set()
     for cid in tree.levels[2][:6]:
@@ -143,7 +142,7 @@ def test_fill_classification_matches_brute_force():
                         and not (j in eliminated and k in eliminated):
                     predicted.add((j, k))
         stats = FillinStats(2)
-        _eliminate_cluster(graph, cid, 1e-13, rng, events, stats, timings)
+        _eliminate_cluster(graph, cid, 1e-13, events, stats, timings)
         eliminated.add(cid)
         assert stats.compressed_pairs + stats.dropped_pairs == len(predicted)
     # the very first (corner) cluster: all neighbors mutually adjacent
@@ -165,7 +164,7 @@ def test_first_corner_elimination_has_no_compression():
 
 def live_dense_solve(graph, rhs, removed_nodes=frozenset()):
     """Oracle: dense solve of the remaining system with node rhs `rhs`."""
-    off, total = graph._offsets()
+    off = np.cumsum([0] + graph.sizes)
     live = [n for n in range(len(graph.sizes)) if n not in removed_nodes]
     idx = np.concatenate([np.arange(off[n], off[n] + graph.sizes[n])
                           for n in live]).astype(int)
@@ -224,10 +223,9 @@ def test_redirect_preserves_schur_system():
     assert target is not None
 
     g = assemble_extended_graph(ops)
-    rng = np.random.Generator(np.random.PCG64(0))
     stats = FillinStats(tree.depth)
     events, timings = [], {k: 0.0 for k in TIMING_KEYS}
-    _eliminate_cluster(g, target, 1e-13, rng, events, stats, timings)
+    _eliminate_cluster(g, target, 1e-13, events, stats, timings)
     assert stats.compressed_pairs > 0
     assert_reduced_matches_unreduced(base, g, events, {target}, b)
 
@@ -252,7 +250,6 @@ def test_batched_redirect_matches_dense_over_eliminations(monkeypatch):
     monkeypatch.setattr(ifmm.factor, "redirect_fillin", spy)
 
     g = assemble_extended_graph(ops)
-    rng = np.random.Generator(np.random.PCG64(0))
     stats = FillinStats(tree.depth)
     timings = {k: 0.0 for k in TIMING_KEYS}
     all_events = []
@@ -260,7 +257,7 @@ def test_batched_redirect_matches_dense_over_eliminations(monkeypatch):
         events = []
         widths = {c: len(w) for c, w in g.sigma_u.items()}
         n_ranks = len(stats.ranks)
-        _eliminate_cluster(g, cid, 1e-13, rng, events, stats, timings)
+        _eliminate_cluster(g, cid, 1e-13, events, stats, timings)
         rebased = [ev.ny for ev in events if isinstance(ev, Rebase)]
         assert len(rebased) == len(set(rebased))
         # each union records the basis width it adds
@@ -289,10 +286,24 @@ def test_factorize_calls_traced_names(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(ifmm.factor, name, counted)
+    # the tracer names the span factor.l<level>.eliminate after the second
+    # positional argument: it must be the level whose clusters are eliminated
+    levels = []
+    counted_level = ifmm.factor.eliminate_level
+
+    def level_spy(*args):
+        graph, before = args[0], set(args[0].eliminated)
+        out = counted_level(*args)
+        levels.append((args[1], {graph.tree.clusters[c].level
+                                 for c in graph.eliminated - before}))
+        return out
+
+    monkeypatch.setattr(ifmm.factor, "eliminate_level", level_spy)
     pts, kern, tree, topo, ops = setup_problem(600, leaf_target=4)
     assert tree.depth >= 3
     fct = factorize(assemble_extended_graph(ops), epsilon=1e-6, seed=0)
     assert all(calls[name] > 0 for name in names), calls
+    assert levels == [(lv, {lv}) for lv in range(tree.depth, 1, -1)]
     # one redirection per eliminated cluster
     assert calls["redirect_fillin"] == sum(isinstance(ev, Elim)
                                            for ev in fct.events)
@@ -311,12 +322,55 @@ def test_nonsymmetric_lossless_matches_h2_dense_solve():
     assert np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref) < 1e-9
 
 
+def test_factorize_without_sigma0_estimate_ignores_seed():
+    # elimination draws no random numbers: with sigma0 given, the seed
+    # changes nothing
+    pts, kern, tree, topo, ops = setup_problem(
+        600, leaf_target=4, kernel=nonsymmetric_kernel())
+    assert tree.depth >= 3
+    b = np.random.default_rng(13).standard_normal(len(pts))
+    xs = [factorize(assemble_extended_graph(ops), epsilon=1e-6, seed=seed,
+                    sigma0=2.0).solve(b) for seed in (0, 1)]
+    assert np.array_equal(xs[0], xs[1])
+
+
+def test_cluster_unions_equalize_ranks():
+    # fill on the U side only: the V side is brought to the same rank, and
+    # both old bases stay representable in the new ones
+    pts, kern, tree, topo, ops = setup_problem(400)
+    graph = assemble_extended_graph(ops)
+    c = max(tree.leaves(), key=lambda cid: tree.clusters[cid].size)
+    nx, nz = graph.node_x[c], graph.node_z[c]
+    m, k_old = graph.sizes[nx], graph.sizes[nz]
+    assert m >= k_old + 3
+    Uc, Vc = graph.get_edge(nx, nz), graph.get_edge(nz, nx).T
+    F = np.random.default_rng(14).standard_normal((m, 3))
+    bu_u, bu_v = _cluster_unions(graph, c, [F], [], 1e-8)
+    assert bu_u.rank == bu_v.rank == k_old + 3
+    for bu in (bu_u, bu_v):
+        np.testing.assert_allclose(bu.new_basis.T @ bu.new_basis,
+                                   np.eye(bu.rank), atol=1e-12)
+    np.testing.assert_allclose(bu_u.new_basis @ bu_u.old_map, Uc, atol=1e-10)
+    np.testing.assert_allclose(bu_u.new_basis @ bu_u.fillin_map, F, atol=1e-10)
+    np.testing.assert_allclose(bu_v.new_basis @ bu_v.old_map, Vc, atol=1e-10)
+
+
+def test_graph_layout_follows_factorize():
+    # factorize resizes (rebases) and adds (merges) nodes after the sigma0
+    # estimate has applied the graph; the layout must follow
+    pts, kern, tree, topo, ops = setup_problem(500)
+    graph = assemble_extended_graph(ops)
+    factorize(graph, epsilon=1e-6, seed=0)
+    assert graph.dim == sum(graph.sizes)
+    assert graph.dense_matrix().shape == (graph.dim, graph.dim)
+    assert graph.apply(np.ones(graph.dim)).shape == (graph.dim,)
+
+
 def test_no_edges_between_well_separated_x_nodes():
     pts, kern, tree, topo, ops = setup_problem(500, leaf_target=4, d=0.2)
     graph = assemble_extended_graph(ops)
-    rng = np.random.Generator(np.random.PCG64(0))
     events, timings = [], {k: 0.0 for k in TIMING_KEYS}
-    stats = eliminate_level(graph, tree.depth, 1e-4, rng, events, timings)
+    stats = eliminate_level(graph, tree.depth, 1e-4, events, timings)
     for (t, s) in graph.edges:
         ct, cs = graph.cluster_of[t], graph.cluster_of[s]
         if tree.clusters[ct].level == tree.clusters[cs].level \
@@ -334,9 +388,8 @@ def test_merge_single_child_is_relabeling():
     ops = chebyshev_operators(tree, topo, benchmark_kernel(0.1), 2)
     initialize_weights(ops, topo)
     graph = assemble_extended_graph(ops)
-    rng = np.random.Generator(np.random.PCG64(0))
     events, timings = [], {k: 0.0 for k in TIMING_KEYS}
-    eliminate_level(graph, 3, 1e-12, rng, events, timings)
+    eliminate_level(graph, 3, 1e-12, events, timings)
     snapshot = {}
     for pid in tree.levels[2]:
         cy = graph.node_y[tree.clusters[pid].children[0]]
@@ -356,9 +409,8 @@ def test_merge_tiling_and_sizes():
     pts, kern, tree, topo, ops = setup_problem(600, leaf_target=4)
     assert tree.depth >= 3
     graph = assemble_extended_graph(ops)
-    rng = np.random.Generator(np.random.PCG64(0))
     events, timings = [], {k: 0.0 for k in TIMING_KEYS}
-    eliminate_level(graph, tree.depth, 1e-12, rng, events, timings)
+    eliminate_level(graph, tree.depth, 1e-12, events, timings)
     L = tree.depth
     snapshot = {(t, s): blk.copy() for (t, s), blk in graph.edges.items()
                 if graph.kinds[t] == "y" and graph.kinds[s] == "y"

@@ -216,3 +216,28 @@ def test_weighted_union_min_rank():
     F = 0.9e-3 * G
     assert np.linalg.norm(F, 2) <= 1e-3 < np.linalg.norm(F)
     assert weighted_basis_union(U, wu, F, np.ones(2), 1e-3).rank == 3
+
+
+def test_weighted_union_min_rank_completes_basis():
+    # min_rank above the nonzero singular values: the union completes the
+    # basis with complement directions that carry zero maps
+    rng = np.random.default_rng(8)
+    U, _ = np.linalg.qr(rng.standard_normal((6, 2)))
+    wu = np.array([2.0, 0.5])
+    bu = weighted_basis_union(U, wu, np.zeros((6, 0)), np.zeros(0), 1e-3,
+                              min_rank=4)
+    assert bu.rank == 4
+    np.testing.assert_allclose(bu.new_basis.T @ bu.new_basis, np.eye(4),
+                               atol=1e-12)
+    assert np.all(bu.new_weights > 0)
+    np.testing.assert_allclose(bu.new_weights[2:], 1e-3)
+    assert not bu.old_map[2:].any()
+    assert bu.fillin_map.shape == (4, 0)
+    np.testing.assert_allclose(bu.new_basis @ bu.old_map, U, atol=1e-12)
+    # deterministic: the same inputs give the same basis
+    again = weighted_basis_union(U, wu, np.zeros((6, 0)), np.zeros(0), 1e-3,
+                                 min_rank=4)
+    assert np.array_equal(again.new_basis, bu.new_basis)
+    with pytest.raises(ValueError):
+        weighted_basis_union(U, wu, np.zeros((6, 0)), np.zeros(0), 1e-3,
+                             min_rank=7)
