@@ -8,8 +8,9 @@ when its Frobenius norm is at most the global threshold epsilon *
 sigma0(E), and otherwise redirected through the multipole coupling
 edges: each live cluster that receives such fill has its
 interpolation/anterpolation bases widened by one basis union over that
-elimination's raw fill blocks and is rebased once, and the fill enters
-the coupling edge projected onto the new bases. Once a level is fully
+elimination's raw fill blocks and is rebased once, which moves all its
+multipole edges onto the new bases; the fill, projected onto the new
+bases, is then added to the coupling edge. Once a level is fully
 eliminated, the sibling multipole nodes merge into their parent's
 unknown node and the graph has the structure of a one-level-shallower
 problem.
@@ -233,6 +234,10 @@ def factorize(graph: ExtendedGraph, epsilon: float, seed: int = 0,
     value of the initial extended matrix (estimated here unless given).
     `seed` seeds only that estimate; elimination draws no random numbers,
     so with `sigma0` given the factorization does not depend on `seed`.
+
+    The graph and the returned factor borrow the operator blocks of
+    `graph.ops` without copying them; do not modify those arrays in place
+    while either is in use.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
@@ -268,7 +273,7 @@ def factorize(graph: ExtendedGraph, epsilon: float, seed: int = 0,
         top_nodes = [graph.node_x[c] for c in tree.leaves()]
     top_sizes = [graph.sizes[t] for t in top_nodes]
     t0 = time.perf_counter()
-    top_lu = _assemble_top(graph, top_nodes, top_sizes)
+    top_lu = _lu(graph.dense_matrix(top_nodes), "top-level system")
     timings["lu_and_triangular_solves"] += time.perf_counter() - t0
 
     stats.peak_edges = graph.peak_edges
@@ -280,22 +285,6 @@ def factorize(graph: ExtendedGraph, epsilon: float, seed: int = 0,
         init_sizes=init_sizes, leaf_slices=leaf_slices, events=events,
         top_nodes=top_nodes, top_sizes=top_sizes, top_lu=top_lu,
         epsilon=epsilon, sigma0=sigma0, stats=stats, timings=timings)
-
-
-def _assemble_top(graph: ExtendedGraph, top_nodes, top_sizes):
-    offs = {}
-    total = 0
-    for t, s in zip(top_nodes, top_sizes):
-        offs[t] = total
-        total += s
-    if total == 0:
-        return None
-    M = np.zeros((total, total))
-    node_set = set(top_nodes)
-    for (t, s), blk in graph.edges.items():
-        if t in node_set and s in node_set:
-            M[offs[t]:offs[t] + blk.shape[0], offs[s]:offs[s] + blk.shape[1]] = blk
-    return _lu(M, "top-level system")
 
 
 def eliminate_level(graph: ExtendedGraph, level: int, threshold: float,
@@ -397,12 +386,8 @@ def _cluster_unions(graph, c, fill_u, fill_v, threshold):
     return bu_u, bu_v
 
 
-def _apply_rebase(graph, c, bu_u, bu_v, partners, events):
-    """Swap in the new U/V bases of cluster c and rebase its edges.
-
-    The edges between c's y node and the y nodes in `partners` are left
-    untouched; the caller rewrites them with the fill folded in.
-    """
+def _apply_rebase(graph, c, bu_u, bu_v, events):
+    """Swap in the new U/V bases of cluster c and rebase its y node's edges."""
     nx, nz, ny = graph.node_x[c], graph.node_z[c], graph.node_y[c]
     r, t = bu_u.old_map, bu_v.old_map
     k_new = bu_u.rank
@@ -413,21 +398,19 @@ def _apply_rebase(graph, c, bu_u, bu_v, partners, events):
     graph.sigma_v[c] = bu_v.new_weights
 
     for b in sorted(graph.row_sources[ny]):
-        if b == nz or b in partners:
-            continue
-        graph.set_edge(ny, b, r @ graph.get_edge(ny, b))
+        if b != nz:
+            graph.set_edge(ny, b, r @ graph.get_edge(ny, b))
     for a in sorted(graph.col_targets[ny]):
-        if a == nz or a in partners:
-            continue
-        graph.set_edge(a, ny, graph.get_edge(a, ny) @ t.T)
+        if a != nz:
+            graph.set_edge(a, ny, graph.get_edge(a, ny) @ t.T)
 
     graph.pop_edge(nz, ny)
     graph.pop_edge(ny, nz)
     graph.sizes[nz] = k_new
     graph.sizes[ny] = k_new
-    eye = np.eye(k_new)
-    graph.set_edge(nz, ny, -eye)
-    graph.set_edge(ny, nz, -eye.copy())
+    minus_eye = -np.eye(k_new)
+    graph.set_edge(nz, ny, minus_eye)
+    graph.set_edge(ny, nz, minus_eye)
 
     if not (r.shape[0] == r.shape[1] and np.array_equal(r, np.eye(r.shape[0]))):
         events.append(Rebase(ny, r))
@@ -441,8 +424,9 @@ def redirect_fillin(graph, fills, threshold, events, stats, timings):
     one). A fill with ||F||_F <= threshold has no singular value above it
     and is dropped. Every live cluster that receives a kept fill takes one
     basis union over the raw kept fills (F into it on the U side, F^T of F
-    out of it on the V side) and one rebase; each kept pair's two y-y edges
-    are rewritten from the edges as they were before the rebase.
+    out of it on the V side) and one rebase of all its y node's edges.
+    Each kept fill is then projected onto the new bases and added to the
+    y-y edge of its pair.
     """
     t0 = time.perf_counter()
     kept = {key: F for key, F in sorted(fills.items())
@@ -454,15 +438,6 @@ def redirect_fillin(graph, fills, threshold, events, stats, timings):
     stats.compressed_pairs += len(kept_pairs)
     stats.dropped_pairs += len(pairs) - len(kept_pairs)
 
-    # pair edges before any rebase; the rebases below skip them
-    old = {}
-    for cj, ck in kept_pairs:
-        for a, b in ((ck, cj), (cj, ck)):
-            ya, yb = graph.node_y[a], graph.node_y[b]
-            blk = graph.get_edge(ya, yb)
-            old[(a, b)] = (blk if blk is not None
-                           else np.zeros((graph.sizes[ya], graph.sizes[yb])))
-
     # one union and one rebase per live cluster: fills whose target is c
     # extend U_c, fills whose source is c extend V_c
     bus_u, bus_v = {}, {}
@@ -472,27 +447,19 @@ def redirect_fillin(graph, fills, threshold, events, stats, timings):
             graph, c, [F for (a, _), F in kept.items() if a == c],
             [F.T for (_, b), F in kept.items() if b == c], threshold)
         stats.ranks.append(bu_u.rank - bu_u.old_map.shape[1])
-        partners = {graph.node_y[p] for pair in kept_pairs if c in pair
-                    for p in pair if p != c}
-        _apply_rebase(graph, c, bu_u, bu_v, partners, events)
+        _apply_rebase(graph, c, bu_u, bu_v, events)
         bus_u[c], bus_v[c] = bu_u, bu_v
 
-    # E'(y_a, y_b) = r_a E(y_a, y_b) t_b^T + W_a^T F W_b, where W is the
-    # new U basis of a live target and the new V basis of a live source;
-    # an eliminated side keeps the fill on its y node unprojected
-    for (a, b), blk in old.items():
+    # E'(y_a, y_b) = r_a E(y_a, y_b) t_b^T + W_a^T F W_b: the rebases made
+    # the first term; W is the new U basis of a live target and the new V
+    # basis of a live source, and an eliminated side keeps the fill on its
+    # y node unprojected
+    for (a, b), F in kept.items():
         if a in bus_u:
-            blk = bus_u[a].old_map @ blk
+            F = bus_u[a].new_basis.T @ F
         if b in bus_v:
-            blk = blk @ bus_v[b].old_map.T
-        F = kept.get((a, b))
-        if F is not None:
-            if a in bus_u:
-                F = bus_u[a].new_basis.T @ F
-            if b in bus_v:
-                F = F @ bus_v[b].new_basis
-            blk = blk + F
-        graph.set_edge(graph.node_y[a], graph.node_y[b], blk)
+            F = F @ bus_v[b].new_basis
+        graph.add_to_edge(graph.node_y[a], graph.node_y[b], F)
     dt = time.perf_counter() - t0
     stats.compress_time += dt
     timings["lowrank_approximations"] += dt

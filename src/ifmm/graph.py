@@ -14,6 +14,11 @@ The initial edge pattern realizes, per level l from the leaves up,
 
 with the parent term absent at the top level. Edge counts are tracked
 so elimination-time sparsity can be asserted.
+
+The graph borrows the operator blocks: its initial edges are the arrays
+of `H2Operators` themselves, not copies. This is sound because no edge
+block is ever written in place. Every update stores a new array, and
+`merge_to_parent` accumulates only into blocks it has just created.
 """
 
 from __future__ import annotations
@@ -23,9 +28,10 @@ import itertools
 import numpy as np
 
 from .h2 import H2Operators
-from .lowrank import randomized_svd
 
 X, Z, Y = "x", "z", "y"
+SIGMA0_SKETCH = 11       # sketch columns of the sigma0 estimate
+SIGMA0_POWER_ITERS = 2
 
 
 class ExtendedGraph:
@@ -47,8 +53,8 @@ class ExtendedGraph:
         self.row_sources: dict[int, set[int]] = {}
         self.col_targets: dict[int, set[int]] = {}
         self.eliminated: set[int] = set()
-        self.sigma_u = {c: w.copy() for c, w in ops.sigma_u.items()}
-        self.sigma_v = {c: w.copy() for c, w in ops.sigma_v.items()}
+        self.sigma_u = dict(ops.sigma_u)
+        self.sigma_v = dict(ops.sigma_v)
         self.peak_edges = 0
 
         for cid in tree.leaves():
@@ -61,27 +67,26 @@ class ExtendedGraph:
                 self.node_y[cid] = self._new_node(k, Y, cid)
 
         for (i, j), S in ops.near.items():
-            self.set_edge(self.node_x[i], self.node_x[j], S.copy())
+            self.set_edge(self.node_x[i], self.node_x[j], S)
         if tree.depth >= 2:
             for cid in tree.leaves():
                 self.set_edge(self.node_x[cid], self.node_z[cid],
-                              ops.leaf_u[cid].copy())
+                              ops.leaf_u[cid])
                 self.set_edge(self.node_z[cid], self.node_x[cid],
-                              ops.leaf_v[cid].T.copy())
+                              ops.leaf_v[cid].T)
         for level in range(2, tree.depth + 1):
             for cid in tree.levels[level]:
-                k = ops.rank[cid]
-                eye = np.eye(k)
-                self.set_edge(self.node_z[cid], self.node_y[cid], -eye)
-                self.set_edge(self.node_y[cid], self.node_z[cid], -eye.copy())
+                minus_eye = -np.eye(ops.rank[cid])
+                self.set_edge(self.node_z[cid], self.node_y[cid], minus_eye)
+                self.set_edge(self.node_y[cid], self.node_z[cid], minus_eye)
         for (i, j), K in ops.coupling.items():
-            self.set_edge(self.node_y[i], self.node_y[j], K.copy())
+            self.set_edge(self.node_y[i], self.node_y[j], K)
         for cid, T in ops.transfer_u.items():
             parent = tree.clusters[cid].parent
-            self.set_edge(self.node_y[cid], self.node_z[parent], T.copy())
+            self.set_edge(self.node_y[cid], self.node_z[parent], T)
         for cid, Tt in ops.transfer_vt.items():
             parent = tree.clusters[cid].parent
-            self.set_edge(self.node_z[parent], self.node_y[cid], Tt.copy())
+            self.set_edge(self.node_z[parent], self.node_y[cid], Tt)
 
     # -- node/edge bookkeeping -------------------------------------------
 
@@ -149,12 +154,20 @@ class ExtendedGraph:
             out[off[s]:off[s] + blk.shape[1]] += blk.T @ w[off[t]:off[t] + blk.shape[0]]
         return out
 
-    def dense_matrix(self) -> np.ndarray:
-        """Full extended matrix; for small-problem oracles and tests."""
-        off, total = self._offsets()
+    def dense_matrix(self, nodes=None) -> np.ndarray:
+        """Dense matrix of the edges among `nodes`, in the given order.
+
+        By default the whole extended matrix, for small-problem oracles and
+        tests; `factorize` assembles its top-level system this way.
+        """
+        nodes = range(len(self.sizes)) if nodes is None else nodes
+        off = dict(zip(nodes, itertools.accumulate(
+            (self.sizes[n] for n in nodes), initial=0)))
+        total = sum(self.sizes[n] for n in nodes)
         E = np.zeros((total, total))
         for (t, s), blk in self.edges.items():
-            E[off[t]:off[t] + blk.shape[0], off[s]:off[s] + blk.shape[1]] = blk
+            if t in off and s in off:
+                E[off[t]:off[t] + blk.shape[0], off[s]:off[s] + blk.shape[1]] = blk
         return E
 
     def sparsity_pattern(self) -> dict:
@@ -176,16 +189,20 @@ def assemble_extended_graph(ops: H2Operators) -> ExtendedGraph:
     return ExtendedGraph(ops)
 
 
-def estimate_sigma0(graph: ExtendedGraph, seed: int = 0,
-                    oversample: int = 10, power_iters: int = 2) -> float:
-    """Leading singular value of the extended matrix, by randomized SVD."""
+def estimate_sigma0(graph: ExtendedGraph, seed: int = 0) -> float:
+    """Leading singular value of the extended matrix E, by one sketch.
+
+    Eleven Gaussian columns go through two power iterations with QR; the
+    result is the largest singular value of B = Q^T E.
+    """
     rng = np.random.Generator(np.random.PCG64(seed))
-    dim = graph.dim
-    fac = randomized_svd(graph.apply, graph.apply_transpose, dim, dim,
-                         abs_threshold=0.0, oversample=oversample,
-                         power_iters=power_iters, rng=rng,
-                         start_rank=1, max_rank=1)
-    return float(fac.sigma[0])
+    omega = rng.standard_normal((graph.dim, min(SIGMA0_SKETCH, graph.dim)))
+    sketch = graph.apply(omega)
+    for _ in range(SIGMA0_POWER_ITERS):
+        sketch = graph.apply(graph.apply_transpose(np.linalg.qr(sketch)[0]))
+    B = graph.apply_transpose(np.linalg.qr(sketch)[0]).T
+    s = np.linalg.svd(B, full_matrices=False)[1]
+    return float(s[0]) if s.size else 0.0
 
 
 def h2_dense(ops: H2Operators) -> np.ndarray:

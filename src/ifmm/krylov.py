@@ -166,7 +166,7 @@ def block_diag_preconditioner(A: np.ndarray, block_size: int):
     """Factorize the diagonal blocks of A once; apply solves blockwise.
 
     The final block may be shorter when block_size does not divide the
-    dimension.
+    dimension. A singular or non-finite diagonal block raises ValueError.
     """
     n = A.shape[0]
     if block_size < 1 or block_size > n:
@@ -174,11 +174,11 @@ def block_diag_preconditioner(A: np.ndarray, block_size: int):
     factors = []
     bounds = list(range(0, n, block_size)) + [n]
     for a, b in zip(bounds[:-1], bounds[1:]):
-        blk = A[a:b, a:b]
-        try:
-            factors.append((a, b, sla.lu_factor(blk)))
-        except ValueError as exc:
-            raise ValueError(f"singular diagonal block [{a}:{b}]") from exc
+        # lu_factor only warns on an exactly singular block: check U
+        lu, piv = sla.lu_factor(A[a:b, a:b], check_finite=False)
+        if not np.all(np.isfinite(lu)) or not np.all(np.diag(lu)):
+            raise ValueError(f"singular diagonal block [{a}:{b}]")
+        factors.append((a, b, (lu, piv)))
 
     def apply(v: np.ndarray) -> np.ndarray:
         out = np.empty_like(v)

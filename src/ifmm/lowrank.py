@@ -1,9 +1,8 @@
 """Low-rank compression primitives.
 
-All factorizations return a `LowRankFactor` (U, sigma, V) with orthonormal
-U/V and non-increasing positive singular values; a zero matrix yields a
-rank-0 factor with empty arrays. Truncation thresholds are absolute: the
-caller supplies epsilon * sigma0 where sigma0 is a global reference scale.
+Truncation thresholds are absolute: the caller supplies epsilon * sigma0,
+where sigma0 is a global reference scale estimated by
+`ifmm.graph.estimate_sigma0`.
 
 The factorization compresses fill-in through one thin SVD per basis
 union: `weighted_basis_union` merges an existing orthonormal basis with
@@ -16,18 +15,18 @@ completed deterministically from the complement columns of a full SVD,
 so the U- and V-side bases of a cluster can be brought to equal rank
 without random numbers.
 
-`truncated_svd` keeps the singular triplets above a threshold and first
-screens on the Frobenius norm: since ||M||_2 <= ||M||_F, a block whose
-Frobenius norm is below the threshold yields rank 0 without an SVD. It
-is a public helper and a test reference; the factorization applies the
-same screen to each fill itself. The randomized SVD is used only for the
-global scale sigma0, where the operator is available as matvecs.
+`truncated_svd` keeps the singular triplets above a threshold as a
+`LowRankFactor` (U, sigma, V) with orthonormal U/V and non-increasing
+positive singular values; a zero matrix yields a rank-0 factor with empty
+arrays. It first screens on the Frobenius norm: since ||M||_2 <= ||M||_F,
+a block whose Frobenius norm is below the threshold yields rank 0 without
+an SVD. It is a public helper and a test reference; the factorization
+applies the same screen to each fill itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -75,64 +74,6 @@ def truncated_svd(M: np.ndarray, abs_threshold: float) -> LowRankFactor:
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     k = int(np.sum(s > abs_threshold))
     return LowRankFactor(U[:, :k].copy(), s[:k].copy(), Vt[:k].T.copy())
-
-
-def rank_from_reference(sigmas: np.ndarray, epsilon: float, sigma0_ref: float) -> int:
-    """Smallest k with sigma_{k+1} <= epsilon * sigma0_ref (capped at len)."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must be in (0, 1)")
-    if sigma0_ref <= 0.0:
-        raise ValueError("sigma0_ref must be positive")
-    sigmas = np.asarray(sigmas, dtype=float)
-    return int(np.sum(sigmas > epsilon * sigma0_ref))
-
-
-def _orthonormalize(Y: np.ndarray) -> np.ndarray:
-    q, _ = np.linalg.qr(Y)
-    return q
-
-
-def randomized_svd(apply: Callable[[np.ndarray], np.ndarray],
-                   apply_t: Callable[[np.ndarray], np.ndarray],
-                   m: int, n: int, abs_threshold: float,
-                   oversample: int = 10, power_iters: int = 2,
-                   rng: np.random.Generator | None = None,
-                   start_rank: int = 16,
-                   max_rank: int | None = None) -> LowRankFactor:
-    """Randomized SVD of an operator given matvec oracles for M and M^T.
-
-    The oracles take and return matrices (columns are probed together).
-    The sketch size doubles until the smallest captured singular value
-    drops below the threshold, so the returned factor covers every triplet
-    above it with high probability (spectra that decay reasonably fast).
-    """
-    if oversample < 2:
-        raise ValueError("oversample must be >= 2")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    full = min(m, n)
-    if full == 0:
-        return _empty_factor(m, n)
-    cap = full if max_rank is None else min(full, max_rank)
-    k_try = min(start_rank, cap)
-
-    while True:
-        width = min(k_try + oversample, full)
-        omega = rng.standard_normal((n, width))
-        Y = apply(omega)
-        for _ in range(power_iters):
-            Y = apply(apply_t(_orthonormalize(Y)))
-        Q = _orthonormalize(Y)
-        B = apply_t(Q).T  # Q^T M, shape (width, n)
-        Wb, s, Vt = np.linalg.svd(B, full_matrices=False)
-        if width >= full or k_try >= cap or (len(s) > k_try and s[k_try] <= abs_threshold):
-            break
-        k_try = min(2 * k_try, cap)
-
-    keep = min(int(np.sum(s > abs_threshold)), cap)
-    if keep == 0:
-        return _empty_factor(m, n)
-    return LowRankFactor(Q @ Wb[:, :keep], s[:keep].copy(), Vt[:keep].T.copy())
 
 
 def weighted_basis_union(old_basis: np.ndarray, old_weights: np.ndarray,

@@ -164,11 +164,8 @@ def test_first_corner_elimination_has_no_compression():
 
 def live_dense_solve(graph, rhs, removed_nodes=frozenset()):
     """Oracle: dense solve of the remaining system with node rhs `rhs`."""
-    off = np.cumsum([0] + graph.sizes)
     live = [n for n in range(len(graph.sizes)) if n not in removed_nodes]
-    idx = np.concatenate([np.arange(off[n], off[n] + graph.sizes[n])
-                          for n in live]).astype(int)
-    E = graph.dense_matrix()[np.ix_(idx, idx)]
+    E = graph.dense_matrix(live)
     parts = []
     for n in live:
         if graph.kinds[n] == "z":
@@ -360,10 +357,39 @@ def test_graph_layout_follows_factorize():
     # estimate has applied the graph; the layout must follow
     pts, kern, tree, topo, ops = setup_problem(500)
     graph = assemble_extended_graph(ops)
-    factorize(graph, epsilon=1e-6, seed=0)
+    fct = factorize(graph, epsilon=1e-6, seed=0)
     assert graph.dim == sum(graph.sizes)
-    assert graph.dense_matrix().shape == (graph.dim, graph.dim)
+    E = graph.dense_matrix()
+    assert E.shape == (graph.dim, graph.dim)
     assert graph.apply(np.ones(graph.dim)).shape == (graph.dim,)
+    # a node subset is assembled in the given order
+    off = np.cumsum([0] + graph.sizes)
+    for nodes in (fct.top_nodes, fct.top_nodes[::-1]):
+        idx = np.concatenate([np.arange(off[t], off[t + 1]) for t in nodes])
+        assert np.array_equal(graph.dense_matrix(nodes), E[np.ix_(idx, idx)])
+
+
+@pytest.mark.parametrize("kernel", [benchmark_kernel(1e-2), nonsymmetric_kernel()],
+                         ids=["benchmark", "nonsymmetric"])
+def test_factorize_leaves_borrowed_operator_blocks_unchanged(kernel):
+    # the graph and the factor borrow the operator blocks: no edge update
+    # may write one in place, so the operators are bitwise unchanged and a
+    # second graph from them gives the same solve (depth 3: merges run)
+    pts, kern, tree, topo, ops = setup_problem(500, leaf_target=3, kernel=kernel)
+    assert tree.depth >= 3
+    names = ("near", "leaf_u", "leaf_v", "coupling", "transfer_u",
+             "transfer_vt", "sigma_u", "sigma_v")
+    before = {f: {k: v.copy() for k, v in getattr(ops, f).items()} for f in names}
+    b = np.random.default_rng(15).standard_normal(len(pts))
+    xs = []
+    for _ in range(2):
+        xs.append(factorize(assemble_extended_graph(ops), epsilon=1e-6,
+                            seed=0).solve(b))
+        for f in names:
+            after = getattr(ops, f)
+            assert after.keys() == before[f].keys()
+            assert all(np.array_equal(after[k], v) for k, v in before[f].items()), f
+    assert np.array_equal(xs[0], xs[1])
 
 
 def test_no_edges_between_well_separated_x_nodes():
@@ -496,7 +522,6 @@ def test_fillin_decay_dichotomy():
     # fill of comparable size: smaller retained rank at the same threshold
     import scipy.linalg as sla
     from ifmm.graph import estimate_sigma0
-    from ifmm.lowrank import rank_from_reference
 
     pts, kern, tree, topo, ops = setup_problem(1200, leaf_target=50, d=0.3)
     graph = assemble_extended_graph(ops)
@@ -523,7 +548,7 @@ def test_fillin_decay_dichotomy():
                 if min(F.shape) < 10:
                     continue
                 s = np.linalg.svd(F, compute_uv=False)
-                k_eps = rank_from_reference(s, eps, sigma0) / min(F.shape)
+                k_eps = np.sum(s > eps * sigma0) / min(F.shape)
                 ca, cb = graph.cluster_of[anode], graph.cluster_of[bnode]
                 if ca == cb:
                     continue

@@ -184,6 +184,19 @@ def test_block_diag_uneven_final_block():
                                rtol=1e-10)
 
 
+def test_block_diag_rejects_singular_block():
+    # an exactly singular block only makes lu_factor warn; its solve would
+    # return inf and nan
+    A = np.eye(4)
+    A[1, 1] = 0.0
+    with pytest.raises(ValueError, match=r"singular diagonal block \[0:2\]"):
+        block_diag_preconditioner(A, 2)
+    A = np.eye(4)
+    A[3, 2] = np.nan
+    with pytest.raises(ValueError, match=r"singular diagonal block \[2:4\]"):
+        block_diag_preconditioner(A, 2)
+
+
 def test_rpy_scene_blockdiag_helps():
     scene = sphere_lattice(2, 2, 1, subdivision=1, spacing=4.0)
     kern = rpy_kernel(0.25)

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from ifmm.lowrank import (rank_from_reference, randomized_svd, truncated_svd,
-                          weighted_basis_union)
-
-
-def dense_oracles(M):
-    """Matvec oracles and shape of a dense matrix, as randomized_svd takes them."""
-    return (lambda X: M @ X), (lambda X: M.T @ X), M.shape[0], M.shape[1]
+from ifmm.lowrank import truncated_svd, weighted_basis_union
 
 
 def check_factor(fac, tol=1e-10):
@@ -98,47 +92,6 @@ def test_eckart_young_many_random():
         expect = s[k] if k < len(s) else 0.0
         assert err == pytest.approx(expect, abs=1e-10)
         check_factor(fac)
-
-
-def test_rank_from_reference():
-    assert rank_from_reference([10.0, 1.0, 1e-4], 1e-3, 10.0) == 2
-    assert rank_from_reference([10.0], 1e-3, 10.0) == 1
-    assert rank_from_reference([1e-5, 1e-6], 1e-3, 10.0) == 0
-    with pytest.raises(ValueError):
-        rank_from_reference([1.0], 1.5, 1.0)
-
-
-def test_randomized_svd_diagonal():
-    d = 10.0 ** -np.arange(0, 8)
-    M = np.diag(10.0 * d)  # sigma_1 = 10
-    rng = np.random.default_rng(0)
-    fac = randomized_svd(*dense_oracles(M), 1e-9, oversample=10, power_iters=2,
-                         rng=rng)
-    assert 9.0 <= fac.sigma[0] <= 10.1
-    check_factor(fac)
-
-
-def test_randomized_svd_zero_operator():
-    fac = randomized_svd(lambda X: np.zeros((7, X.shape[1])),
-                         lambda X: np.zeros((9, X.shape[1])),
-                         7, 9, abs_threshold=0.0)
-    assert fac.rank == 0
-
-
-def test_randomized_svd_exact_rank_recovery():
-    rng = np.random.default_rng(6)
-    M = rng.standard_normal((30, 5)) @ rng.standard_normal((5, 30))
-    s = np.linalg.svd(M, compute_uv=False)
-    fac = randomized_svd(*dense_oracles(M), 0.5 * s[4],
-                         rng=np.random.default_rng(1))
-    assert fac.rank == 5
-    err = np.linalg.norm(M - fac.matrix()) / np.linalg.norm(M)
-    assert err < 1e-8
-
-
-def test_randomized_svd_requires_oversample():
-    with pytest.raises(ValueError):
-        randomized_svd(*dense_oracles(np.eye(3)), 0.0, oversample=1)
 
 
 def test_weighted_union_same_subspace():
