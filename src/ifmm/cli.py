@@ -44,8 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--depth", type=int, default=None,
                    help="force the octree depth (default: automatic)")
-    p.add_argument("--weights-mode", choices=["rigorous", "sampled"],
-                   default="rigorous")
     # rpy / rigid-body scene parameters
     p.add_argument("--rpy-radius", type=float, default=0.25)
     p.add_argument("--viscosity", type=float, default=1.0)
@@ -88,7 +86,6 @@ def config_from_args(args) -> RunConfig:
         max_iters=args.max_iters,
         seed=args.seed,
         depth=args.depth,
-        weights_mode=args.weights_mode,
         rpy_radius=args.rpy_radius,
         viscosity=args.viscosity,
         lattice_shape=tuple(int(v) for v in args.lattice.split(",")),

@@ -41,7 +41,6 @@ class RunConfig:
     max_iters: int = 500
     seed: int = 0
     depth: int | None = None
-    weights_mode: str = "rigorous"
     # rpy/scene parameters
     rpy_radius: float = 0.25
     viscosity: float = 1.0
@@ -106,7 +105,7 @@ def build_pipeline(config: RunConfig) -> Pipeline:
     topo = compute_topology(tree)
     ops = chebyshev_operators(tree, topo, kern, config.cheb_nodes,
                               epsilon=config.epsilon)
-    initialize_weights(ops, topo, mode=config.weights_mode, seed=config.seed)
+    initialize_weights(ops, topo)
     t_init = time.perf_counter() - t0
     return Pipeline(scene, kern, ops, t_init, ops.dim)
 

@@ -28,6 +28,7 @@ without refactorizing.
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -218,7 +219,9 @@ def _pivot_solve(lu_piv, rhs):
 def _lu(P, what):
     if P.shape[0] == 0:
         return None
-    lu, piv = sla.lu_factor(P, check_finite=False)
+    with warnings.catch_warnings():  # a singular pivot raises, below
+        warnings.simplefilter("ignore", sla.LinAlgWarning)
+        lu, piv = sla.lu_factor(P, check_finite=False)
     d = np.abs(np.diag(lu))
     if not np.all(np.isfinite(lu)) or (d.size and d.min() == 0.0):
         raise SingularPivotError(what)

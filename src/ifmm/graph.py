@@ -201,7 +201,7 @@ def estimate_sigma0(graph: ExtendedGraph, seed: int = 0) -> float:
     for _ in range(SIGMA0_POWER_ITERS):
         sketch = graph.apply(graph.apply_transpose(np.linalg.qr(sketch)[0]))
     B = graph.apply_transpose(np.linalg.qr(sketch)[0]).T
-    s = np.linalg.svd(B, full_matrices=False)[1]
+    s = np.linalg.svd(B, compute_uv=False)
     return float(s[0]) if s.size else 0.0
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import Kernel
+from .lowrank import left_singular
 from .tree import ClusterTopology, Octree
 
 
@@ -188,23 +189,15 @@ def chebyshev_operators(tree: Octree, topology: ClusterTopology, kernel: Kernel,
                        transfer_u, transfer_vt, coupling, near)
 
 
-def initialize_weights(ops: H2Operators, topology: ClusterTopology,
-                       mode: str = "rigorous", sample_size: int = 64,
-                       seed: int = 0) -> H2Operators:
+def initialize_weights(ops: H2Operators, topology: ClusterTopology) -> H2Operators:
     """Assign basis weights from the magnitude of each cluster's couplings.
 
-    Rigorous mode takes the SVD of the concatenated outgoing (incoming)
-    couplings over the interaction list and rotates U (V) into that
-    basis, so the stored weights are exactly the per-column singular
-    values. Sampled mode estimates the same quantity from a random row
-    sample of the basis applied to the couplings. Clusters with an empty
-    interaction list get unit weights.
+    The complete left singular basis of the concatenated outgoing
+    (incoming) couplings over the interaction list rotates U (V), so the
+    stored weights are exactly the per-column singular values. Clusters
+    with an empty interaction list get unit weights.
     """
-    if mode not in ("rigorous", "sampled"):
-        raise ValueError("mode must be 'rigorous' or 'sampled'")
-    rng = np.random.Generator(np.random.PCG64(seed))
     tree = ops.tree
-
     for level in range(2, tree.depth + 1):
         for j in tree.levels[level]:
             k = ops.rank[j]
@@ -213,12 +206,7 @@ def initialize_weights(ops: H2Operators, topology: ClusterTopology,
                 ops.sigma_u[j] = np.ones(k)
                 ops.sigma_v[j] = np.ones(k)
                 continue
-            out_cat = np.hstack([ops.coupling[(j, q)] for q in ilist])
-            if mode == "sampled":
-                out_cat = _sampled_gram(ops, j, out_cat, sample_size, rng)
-
-            P, su, _ = np.linalg.svd(out_cat, full_matrices=False)
-            P = _complete_basis(P, k)
+            P, su = left_singular(np.hstack([ops.coupling[(j, q)] for q in ilist]))
             ops.sigma_u[j] = _pad_weights(su, k)
             if ops.kernel.symmetric:
                 # the incoming concatenation is the transpose of the outgoing
@@ -226,23 +214,12 @@ def initialize_weights(ops: H2Operators, topology: ClusterTopology,
                 ops.sigma_v[j] = ops.sigma_u[j].copy()
                 Q = P
             else:
-                in_cat = np.vstack([ops.coupling[(q, j)] for q in ilist])
-                if mode == "sampled":
-                    in_cat = _sampled_gram(ops, j, in_cat.T, sample_size, rng).T
-                _, sv, Qt = np.linalg.svd(in_cat, full_matrices=False)
+                Q, sv = left_singular(
+                    np.hstack([ops.coupling[(q, j)].T for q in ilist]))
                 ops.sigma_v[j] = _pad_weights(sv, k)
-                Q = _complete_basis(Qt.T, k)
             _rotate_u(ops, topology, j, P)
             _rotate_v(ops, topology, j, Q)
     return ops
-
-
-def _complete_basis(P: np.ndarray, k: int) -> np.ndarray:
-    """Extend orthonormal columns to a full k x k orthogonal rotation."""
-    if P.shape[1] >= k:
-        return P[:, :k]
-    Q, _ = np.linalg.qr(np.hstack([P, np.eye(k)]))
-    return Q[:, :k]
 
 
 def _pad_weights(s: np.ndarray, k: int) -> np.ndarray:
@@ -251,21 +228,6 @@ def _pad_weights(s: np.ndarray, k: int) -> np.ndarray:
     w = np.concatenate([s[:k], np.full(max(0, k - len(s)), s[min(len(s), k) - 1])])
     scale = w[0] if w[0] > 0 else 1.0
     return np.maximum(w, 1e-14 * scale)
-
-
-def _sampled_gram(ops: H2Operators, j: int, cat: np.ndarray,
-                  sample_size: int, rng: np.random.Generator) -> np.ndarray:
-    """(m/s) * (S B)^T (S B @ cat) for a row sample S of the basis B."""
-    tree = ops.tree
-    if tree.clusters[j].is_leaf:
-        B = ops.leaf_u[j]
-    else:
-        B = np.vstack([ops.transfer_u[c] for c in tree.clusters[j].children])
-    m = B.shape[0]
-    s = min(sample_size, m)
-    idx = np.sort(rng.choice(m, size=s, replace=False)) if s < m else np.arange(m)
-    Bs = B[idx]
-    return (m / s) * Bs.T @ (Bs @ cat)
 
 
 def _rotate_u(ops, topology, j, P):

@@ -12,6 +12,7 @@ preconditioner built from dense diagonal sub-blocks.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -174,8 +175,11 @@ def block_diag_preconditioner(A: np.ndarray, block_size: int):
     factors = []
     bounds = list(range(0, n, block_size)) + [n]
     for a, b in zip(bounds[:-1], bounds[1:]):
-        # lu_factor only warns on an exactly singular block: check U
-        lu, piv = sla.lu_factor(A[a:b, a:b], check_finite=False)
+        # lu_factor only warns on an exactly singular block: check U and
+        # report it by the error alone
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sla.LinAlgWarning)
+            lu, piv = sla.lu_factor(A[a:b, a:b], check_finite=False)
         if not np.all(np.isfinite(lu)) or not np.all(np.diag(lu)):
             raise ValueError(f"singular diagonal block [{a}:{b}]")
         factors.append((a, b, (lu, piv)))

@@ -4,16 +4,18 @@ Truncation thresholds are absolute: the caller supplies epsilon * sigma0,
 where sigma0 is a global reference scale estimated by
 `ifmm.graph.estimate_sigma0`.
 
-The factorization compresses fill-in through one thin SVD per basis
-union: `weighted_basis_union` merges an existing orthonormal basis with
-fill-in columns, weighting each column before recompressing, and returns
-the maps that express both inputs in the new basis. The factorization
-passes raw fill blocks with unit weights; since F F^T = U S^2 U^T, this
-gives the same new basis as the fill's singular factors U * S would. A
-union asked for more directions (`min_rank`) than the inputs span is
-completed deterministically from the complement columns of a full SVD,
-so the U- and V-side bases of a cluster can be brought to equal rank
-without random numbers.
+The basis weights and unions take their bases from `left_singular`, the
+R-SVD of Chan (ACM TOMS 8(1), 1982): one QR and one small SVD give the
+complete left singular basis, without the right singular vectors. The
+factorization compresses fill-in through one such SVD per basis union:
+`weighted_basis_union` merges an existing orthonormal basis with fill-in
+columns, weighting each column before recompressing, and returns the
+projections of both inputs onto the new basis. The factorization passes
+raw fill blocks with unit weights; since F F^T = U S^2 U^T, this gives
+the same new basis as the fill's singular factors U * S would. A union
+asked for more directions (`min_rank`) than the inputs span takes the
+next complement columns of the same complete basis, so the U- and V-side
+bases of a cluster can be brought to equal rank without random numbers.
 
 `truncated_svd` keeps the singular triplets above a threshold as a
 `LowRankFactor` (U, sigma, V) with orthonormal U/V and non-increasing
@@ -76,6 +78,19 @@ def truncated_svd(M: np.ndarray, abs_threshold: float) -> LowRankFactor:
     return LowRankFactor(U[:, :k].copy(), s[:k].copy(), Vt[:k].T.copy())
 
 
+def left_singular(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complete left singular basis W (m x m, orthogonal) and singular values.
+
+    R-SVD: M^T = Q R with the reduced R, so M = R^T Q^T and M shares its
+    left singular vectors and singular values with the m x min(m, n) R^T.
+    The full SVD of R^T adds the complement columns that span the rest of
+    R^m.
+    """
+    R = np.linalg.qr(M.T, mode="r")
+    W, s, _ = np.linalg.svd(R.T)
+    return W, s
+
+
 def weighted_basis_union(old_basis: np.ndarray, old_weights: np.ndarray,
                          fill_basis: np.ndarray, fill_weights: np.ndarray,
                          abs_threshold: float, min_rank: int = 0) -> BasisUpdate:
@@ -86,13 +101,14 @@ def weighted_basis_union(old_basis: np.ndarray, old_weights: np.ndarray,
     block recompresses the old basis alone.
 
     Recompresses [old_basis * diag(old_weights) | fill_basis * diag(fill_weights)]
-    with one thin SVD, keeping the singular values above the threshold and
-    at least `min_rank` directions, and returns maps r, r' with
+    with `left_singular`, keeping the directions whose singular values are
+    above the threshold and at least `min_rank` of them, and returns the
+    projections r = W^T old_basis and r' = W^T fill_basis, so that
     old_basis ~= new_basis @ r and fill_basis ~= new_basis @ r'. When
     `min_rank` exceeds the number of nonzero singular values, the basis is
-    completed with complement columns of a full SVD; they carry zero maps
-    and the weight max(threshold, 1e-14 * largest weight). A `min_rank`
-    above the row count raises ValueError.
+    completed with complement columns; they carry zero maps and the weight
+    max(threshold, 1e-14 * largest weight). A `min_rank` above the row
+    count raises ValueError.
     """
     old_weights = np.asarray(old_weights, dtype=float)
     fill_weights = np.asarray(fill_weights, dtype=float)
@@ -106,17 +122,14 @@ def weighted_basis_union(old_basis: np.ndarray, old_weights: np.ndarray,
     if min_rank > old_basis.shape[0]:
         raise ValueError("min_rank exceeds the basis row count")
 
-    k_old = old_basis.shape[1]
-    concat = np.hstack([old_basis * old_weights, fill_basis * fill_weights])
-    W, s, phi = np.linalg.svd(concat, full_matrices=False)
+    W, s = left_singular(np.hstack([old_basis * old_weights,
+                                    fill_basis * fill_weights]))
     k = max(int(np.sum(s > abs_threshold)), min_rank)
-    if k > np.count_nonzero(s):  # complete the basis from the full SVD
-        W, s, phi = np.linalg.svd(concat)
     r = min(k, np.count_nonzero(s))
-    scaled = np.zeros((k, concat.shape[1]))
-    scaled[:r] = s[:r, None] * phi[:r]  # phi rows are orthonormal
     weights = np.full(k, max(abs_threshold, 1e-14 * (s[0] if r else 1.0)))
     weights[:r] = s[:r]
-    old_map = scaled[:, :k_old] / old_weights[None, :]
-    fill_map = scaled[:, k_old:] / fill_weights[None, :]
-    return BasisUpdate(W[:, :k].copy(), weights, old_map, fill_map)
+    new_basis = W[:, :k].copy()
+    old_map = new_basis.T @ old_basis
+    fill_map = new_basis.T @ fill_basis
+    old_map[r:] = fill_map[r:] = 0.0  # complement columns: orthogonal to both
+    return BasisUpdate(new_basis, weights, old_map, fill_map)

@@ -10,6 +10,16 @@ import numpy as np
 import pytest
 
 
+def pytest_configure(config):
+    # A scipy LinAlgWarning that leaks out of the library fails its test.
+    # The filter is added here rather than in pyproject.toml: pytest resolves
+    # a filter's category when it applies it, and from the ini file that
+    # happens before this module runs, so scipy (and OpenBLAS) would load
+    # before the thread pinning above.
+    config.addinivalue_line("filterwarnings",
+                            "error::scipy.linalg.LinAlgWarning")
+
+
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.PCG64(1234))

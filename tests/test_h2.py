@@ -10,12 +10,11 @@ from ifmm.tree import build_octree, compute_topology
 from conftest import UNIT_BOX, cell_grid_points, node_rhs
 
 
-def make_ops(points, kernel, n, leaf_target=10, epsilon=0.0, depth=None,
-             weights="rigorous"):
+def make_ops(points, kernel, n, leaf_target=10, epsilon=0.0, depth=None):
     tree, _ = build_octree(points, leaf_target, depth=depth)
     topo = compute_topology(tree)
     ops = chebyshev_operators(tree, topo, kernel, n, epsilon=epsilon)
-    initialize_weights(ops, topo, mode=weights)
+    initialize_weights(ops, topo)
     return tree, topo, ops
 
 
@@ -127,18 +126,31 @@ def test_weights_empty_interaction_list_unit():
                                           np.ones(ops.rank[c]))
 
 
-def test_sampled_weights_full_sample_matches_rigorous():
-    pts = cube_uniform(300, seed=3).points
-    kern = benchmark_kernel(1e-2)
-    tree, _ = build_octree(pts, leaf_target=10)
+@pytest.mark.parametrize("kern", [benchmark_kernel(0.05), nonsymmetric_kernel()],
+                         ids=["symmetric", "nonsymmetric"])
+def test_weights_complete_rotation_for_narrow_couplings(kern):
+    # hand-built operators: eight points in one corner cell and a single
+    # point, of rank 1, in the far cell of the same row, so the corner
+    # cluster's concatenated couplings have fewer columns than its rank
+    # and its rotations must be completed to k x k
+    cells = {(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1),
+             (1, 1, 0), (1, 1, 1), (6, 0, 0)}
+    pts = cell_grid_points(8, occupied=cells)
+    tree, _ = build_octree(pts, leaf_target=1, depth=2, root_box=UNIT_BOX)
     topo = compute_topology(tree)
-    ops_r = chebyshev_operators(tree, topo, kern, n=2)
-    initialize_weights(ops_r, topo, mode="rigorous")
-    ops_s = chebyshev_operators(tree, topo, kern, n=2)
-    initialize_weights(ops_s, topo, mode="sampled", sample_size=10 ** 9)
-    for c in ops_r.sigma_u:
-        np.testing.assert_allclose(ops_s.sigma_u[c], ops_r.sigma_u[c],
-                                   rtol=1e-8, atol=1e-12)
+    ops = chebyshev_operators(tree, topo, kern, n=2)
+    corner = max(tree.levels[2], key=lambda c: ops.rank[c])
+    width = sum(ops.rank[q] for q in topo.interactions[corner])
+    assert 0 < width < ops.rank[corner]
+    before = h2_dense(ops)
+    initialize_weights(ops, topo)
+    for c in tree.levels[2]:
+        for B in (ops.leaf_u[c], ops.leaf_v[c]):
+            assert B.shape[1] == ops.rank[c]
+            np.testing.assert_allclose(B.T @ B, np.eye(ops.rank[c]), atol=1e-12)
+        assert len(ops.sigma_u[c]) == len(ops.sigma_v[c]) == ops.rank[c]
+    after = h2_dense(ops)
+    assert np.linalg.norm(after - before) <= 1e-12 * np.linalg.norm(before)
 
 
 def test_graph_no_far_field_reduces_to_near():

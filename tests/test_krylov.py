@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -186,15 +187,19 @@ def test_block_diag_uneven_final_block():
 
 def test_block_diag_rejects_singular_block():
     # an exactly singular block only makes lu_factor warn; its solve would
-    # return inf and nan
+    # return inf and nan. The named error is the whole report: no warning
+    # escapes.
     A = np.eye(4)
     A[1, 1] = 0.0
-    with pytest.raises(ValueError, match=r"singular diagonal block \[0:2\]"):
-        block_diag_preconditioner(A, 2)
-    A = np.eye(4)
-    A[3, 2] = np.nan
-    with pytest.raises(ValueError, match=r"singular diagonal block \[2:4\]"):
-        block_diag_preconditioner(A, 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=r"singular diagonal block \[0:2\]"):
+            block_diag_preconditioner(A, 2)
+        A = np.eye(4)
+        A[3, 2] = np.nan
+        with pytest.raises(ValueError, match=r"singular diagonal block \[2:4\]"):
+            block_diag_preconditioner(A, 2)
+    assert [str(w.message) for w in caught] == []
 
 
 def test_rpy_scene_blockdiag_helps():

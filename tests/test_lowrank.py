@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ifmm.lowrank import truncated_svd, weighted_basis_union
+from ifmm.lowrank import left_singular, truncated_svd, weighted_basis_union
 
 
 def check_factor(fac, tol=1e-10):
@@ -92,6 +92,26 @@ def test_eckart_young_many_random():
         expect = s[k] if k < len(s) else 0.0
         assert err == pytest.approx(expect, abs=1e-10)
         check_factor(fac)
+
+
+@pytest.mark.parametrize("shape", [(27, 516), (126, 40)], ids=["wide", "tall"])
+def test_left_singular_graded(shape):
+    m, n = shape
+    r = min(m, n)
+    rng = np.random.default_rng(4)
+    U, _ = np.linalg.qr(rng.standard_normal((m, r)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, r)))
+    M = (U * np.logspace(0, -12, r)) @ V.T
+    W, s = left_singular(M)
+    ref = np.linalg.svd(M, compute_uv=False)
+    np.testing.assert_allclose(s, ref, rtol=0, atol=1e-14 * ref[0])
+    assert W.shape == (m, m)
+    np.testing.assert_allclose(W.T @ W, np.eye(m), atol=1e-12)
+    # the first r columns are left singular vectors: W_r^T M = S V^T
+    Wr = W[:, :r]
+    np.testing.assert_allclose(np.linalg.norm(Wr.T @ M, axis=1), s,
+                               rtol=0, atol=1e-14 * ref[0])
+    np.testing.assert_allclose(Wr @ (Wr.T @ M), M, rtol=0, atol=1e-14 * ref[0])
 
 
 def test_weighted_union_same_subspace():
