@@ -13,13 +13,14 @@ multipole edges onto the new bases; the fill, projected onto the new
 bases, is then added to the coupling edge. Once a level is fully
 eliminated, the sibling multipole nodes merge into their parent's
 unknown node and the graph has the structure of a one-level-shallower
-problem.
+problem. Levels 1 and 0 are not eliminated: the merges carry what
+remains up to the root, and the self-edge of the root's x node is the
+top-level system.
 
-The factorization records a replayable event log of three typed
-records: `Elim` (pivot factors and the popped edge snapshots of one
-cluster), `Rebase` (the map onto a widened multipole basis) and `Merge`
-(the layout of siblings' multipole nodes in their parent's x node). The
-log is the only right-hand-side path: `forward_sweep` pushes a
+The factorization records a replayable event log of two typed records:
+`Elim` (pivot factors and the popped edge snapshots of one cluster) and
+`Merge` (the layout of the children's nodes in their parent's x node).
+The log is the only right-hand-side path: `forward_sweep` pushes a
 right-hand side through it, and `IFMMFactorization.solve` pulls the
 solution back by substitution, for any number of right-hand sides
 without refactorizing.
@@ -95,7 +96,6 @@ class Elim:
     column edges E(a, x), each as (node, block).
     """
     nx: int
-    nz: int
     ny: int
     size_x: int
     size_z: int
@@ -105,30 +105,28 @@ class Elim:
 
 
 @dataclass(frozen=True, slots=True)
-class Rebase:
-    """Change of y node `ny` onto a widened basis: y_new = r @ y_old."""
-    ny: int
-    r: np.ndarray
-
-
-@dataclass(frozen=True, slots=True)
 class Merge:
-    """Parent x node `px` stacks its children's y nodes, as (node, size)."""
+    """Parent x node `px` stacks its children's nodes, as (node, size).
+
+    The parts are the children's y nodes, or their x nodes for children
+    without one (level 1, and the leaves of a depth-1 tree).
+    """
     px: int
     parts: list[tuple[int, int]]
 
 
-Event = Elim | Rebase | Merge
+Event = Elim | Merge
 
 
 def forward_sweep(events: list[Event],
                   rhs: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
     """Push a right-hand side through the recorded elimination.
 
-    `rhs` maps every node present before the first event to the
-    right-hand side of its rows. Returns a new map whose entries for
-    the remaining nodes are the right-hand side of the reduced system
-    and whose entry for an eliminated x node is its right-hand side at
+    `rhs` maps every leaf x node to the right-hand side of its rows; every
+    other row starts with a zero right-hand side, which the events never
+    read before they set it. Returns a new map whose entries for the
+    remaining nodes are the right-hand side of the reduced system and
+    whose entry for an eliminated x node is its right-hand side at
     elimination. Neither `rhs` nor its arrays are modified.
     """
     rhs = dict(rhs)
@@ -138,26 +136,21 @@ def forward_sweep(events: list[Event],
                              np.concatenate([rhs[ev.nx], np.zeros(ev.size_z)]))
             for a, blk in ev.targets:
                 rhs[a] = rhs[a] - blk @ g[:ev.size_x]
-            rhs[ev.ny] = rhs[ev.ny] + g[ev.size_x:]
-        elif isinstance(ev, Rebase):
-            rhs[ev.ny] = ev.r @ rhs[ev.ny]
+            rhs[ev.ny] = g[ev.size_x:]
         else:
-            rhs[ev.px] = np.concatenate([rhs[cy] for cy, _ in ev.parts]) \
-                if ev.parts else np.zeros(0)
+            rhs[ev.px] = np.concatenate([rhs[c] for c, _ in ev.parts])
     return rhs
 
 
 @dataclass(eq=False)
 class IFMMFactorization:
-    """Replayable elimination log plus the top-level dense factor."""
+    """Replayable elimination log plus the root's dense factor."""
     n_points: int
     block_dim: int
     perm: np.ndarray
-    init_sizes: list[int]
     leaf_slices: list[tuple[int, int, int]]   # (x node, start, stop) point slices
     events: list[Event]
-    top_nodes: list[int]
-    top_sizes: list[int]
+    root: int                                  # x node of the top-level system
     top_lu: tuple[np.ndarray, np.ndarray] | None
     epsilon: float
     sigma0: float
@@ -176,20 +169,9 @@ class IFMMFactorization:
         bd = self.block_dim
         bt = b.reshape(self.n_points, bd)[self.perm].ravel()
 
-        rhs = {nid: np.zeros(s) for nid, s in enumerate(self.init_sizes)}
-        for nx, start, stop in self.leaf_slices:
-            rhs[nx] = bt[start * bd:stop * bd]
-        rhs = forward_sweep(self.events, rhs)
-
-        sol: dict[int, np.ndarray] = {}
-        if self.top_nodes:
-            top_rhs = np.concatenate([rhs[t] for t in self.top_nodes])
-            y = _pivot_solve(self.top_lu, top_rhs)
-            off = 0
-            for t, s in zip(self.top_nodes, self.top_sizes):
-                sol[t] = y[off:off + s]
-                off += s
-
+        rhs = forward_sweep(self.events, {nx: bt[start * bd:stop * bd]
+                                          for nx, start, stop in self.leaf_slices})
+        sol = {self.root: _pivot_solve(self.top_lu, rhs[self.root])}
         for ev in reversed(self.events):
             if isinstance(ev, Elim):
                 rx = rhs[ev.nx].copy()
@@ -197,11 +179,10 @@ class IFMMFactorization:
                     rx -= blk @ sol[bnode]
                 xz = _pivot_solve(ev.lu_piv, np.concatenate([rx, sol[ev.ny]]))
                 sol[ev.nx] = xz[:ev.size_x]
-                sol[ev.nz] = xz[ev.size_x:]
-            elif isinstance(ev, Merge):
+            else:
                 off = 0
-                for cy, s in ev.parts:
-                    sol[cy] = sol[ev.px][off:off + s]
+                for c, s in ev.parts:
+                    sol[c] = sol[ev.px][off:off + s]
                     off += s
 
         out_t = np.concatenate([sol[nx] for nx, _, _ in self.leaf_slices])
@@ -232,9 +213,12 @@ def factorize(graph: ExtendedGraph, epsilon: float, seed: int = 0,
               sigma0: float | None = None) -> IFMMFactorization:
     """Eliminate the graph level by level and factor the top system.
 
+    Levels from the leaves down to 2 are eliminated, and every level is
+    merged into its parent; the top system is the root's merged x node.
     Fill-in between well-separated clusters is compressed with absolute
     threshold epsilon * sigma0, where sigma0 is the leading singular
-    value of the initial extended matrix (estimated here unless given).
+    value of the initial extended matrix (estimated here unless given,
+    and then finite and positive).
     `seed` seeds only that estimate; elimination draws no random numbers,
     so with `sigma0` given the factorization does not depend on `seed`.
 
@@ -244,6 +228,8 @@ def factorize(graph: ExtendedGraph, epsilon: float, seed: int = 0,
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
+    if sigma0 is not None and not (np.isfinite(sigma0) and sigma0 > 0):
+        raise ValueError("sigma0 must be finite and positive")
     tree = graph.tree
     timings = {k: 0.0 for k in TIMING_KEYS}
     timings["sigma0_estimation"] = 0.0
@@ -254,7 +240,6 @@ def factorize(graph: ExtendedGraph, epsilon: float, seed: int = 0,
         timings["sigma0_estimation"] = time.perf_counter() - t0
     threshold = epsilon * sigma0
 
-    init_sizes = list(graph.sizes)
     bd = graph.block_dim
     leaf_slices = [(graph.node_x[c], tree.clusters[c].start, tree.clusters[c].stop)
                    for c in tree.leaves()]
@@ -262,21 +247,17 @@ def factorize(graph: ExtendedGraph, epsilon: float, seed: int = 0,
     events: list[Event] = []
     stats = FactorStats(n_clusters=tree.n_clusters)
 
-    for level in range(tree.depth, 1, -1):
-        stats.levels.append(
-            eliminate_level(graph, level, threshold, events, timings))
-        if level > 2:
-            t0 = time.perf_counter()
-            merge_to_parent(graph, level, events)
-            timings["operator_transfer"] += time.perf_counter() - t0
+    for level in range(tree.depth, 0, -1):
+        if level >= 2:
+            stats.levels.append(
+                eliminate_level(graph, level, threshold, events, timings))
+        t0 = time.perf_counter()
+        merge_to_parent(graph, level, events)
+        timings["operator_transfer"] += time.perf_counter() - t0
 
-    if tree.depth >= 2:
-        top_nodes = [graph.node_y[c] for c in tree.levels[2]]
-    else:
-        top_nodes = [graph.node_x[c] for c in tree.leaves()]
-    top_sizes = [graph.sizes[t] for t in top_nodes]
+    root = graph.node_x[tree.levels[0][0]]
     t0 = time.perf_counter()
-    top_lu = _lu(graph.dense_matrix(top_nodes), "top-level system")
+    top_lu = _lu(graph.get_edge(root, root), "top-level system")
     timings["lu_and_triangular_solves"] += time.perf_counter() - t0
 
     stats.peak_edges = graph.peak_edges
@@ -285,8 +266,7 @@ def factorize(graph: ExtendedGraph, epsilon: float, seed: int = 0,
 
     return IFMMFactorization(
         n_points=tree.n_points, block_dim=bd, perm=tree.perm,
-        init_sizes=init_sizes, leaf_slices=leaf_slices, events=events,
-        top_nodes=top_nodes, top_sizes=top_sizes, top_lu=top_lu,
+        leaf_slices=leaf_slices, events=events, root=root, top_lu=top_lu,
         epsilon=epsilon, sigma0=sigma0, stats=stats, timings=timings)
 
 
@@ -320,7 +300,7 @@ def _eliminate_cluster(graph, cid, threshold, events, stats, timings):
     if graph.row_sources[nz] or graph.col_targets[nz]:
         raise AssertionError("z node unexpectedly has extra edges")
 
-    events.append(Elim(nx, nz, ny, size_x, size_z, lu_piv, sources, targets))
+    events.append(Elim(nx, ny, size_x, size_z, lu_piv, sources, targets))
     graph.eliminated.add(cid)
 
     # Schur complement columns: X_b = P^{-1} [E(x,b); 0], plus the column
@@ -353,7 +333,7 @@ def _eliminate_cluster(graph, cid, threshold, events, stats, timings):
                 fills[(ca, cb)] = F
     timings["matmul_updates"] += time.perf_counter() - t0
 
-    redirect_fillin(graph, fills, threshold, events, stats, timings)
+    redirect_fillin(graph, fills, threshold, stats, timings)
 
 
 def _identity_update(basis, weights):
@@ -389,8 +369,14 @@ def _cluster_unions(graph, c, fill_u, fill_v, threshold):
     return bu_u, bu_v
 
 
-def _apply_rebase(graph, c, bu_u, bu_v, events):
-    """Swap in the new U/V bases of cluster c and rebase its y node's edges."""
+def _apply_rebase(graph, c, bu_u, bu_v):
+    """Swap in the new U/V bases of cluster c and rebase its y node's edges.
+
+    The solve keeps no record of it. A live cluster's y node has no edge
+    to an x node, so no elimination so far lists it among its targets or
+    sources: its right-hand side is still zero, and the backward sweep
+    never sees its old basis.
+    """
     nx, nz, ny = graph.node_x[c], graph.node_z[c], graph.node_y[c]
     r, t = bu_u.old_map, bu_v.old_map
     k_new = bu_u.rank
@@ -415,11 +401,8 @@ def _apply_rebase(graph, c, bu_u, bu_v, events):
     graph.set_edge(nz, ny, minus_eye)
     graph.set_edge(ny, nz, minus_eye)
 
-    if not (r.shape[0] == r.shape[1] and np.array_equal(r, np.eye(r.shape[0]))):
-        events.append(Rebase(ny, r))
 
-
-def redirect_fillin(graph, fills, threshold, events, stats, timings):
+def redirect_fillin(graph, fills, threshold, stats, timings):
     """Fold one elimination's well-separated fills into the coupling edges.
 
     `fills` maps (target cluster, source cluster) to the fill block F
@@ -450,7 +433,7 @@ def redirect_fillin(graph, fills, threshold, events, stats, timings):
             graph, c, [F for (a, _), F in kept.items() if a == c],
             [F.T for (_, b), F in kept.items() if b == c], threshold)
         stats.ranks.append(bu_u.rank - bu_u.old_map.shape[1])
-        _apply_rebase(graph, c, bu_u, bu_v, events)
+        _apply_rebase(graph, c, bu_u, bu_v)
         bus_u[c], bus_v[c] = bu_u, bu_v
 
     # E'(y_a, y_b) = r_a E(y_a, y_b) t_b^T + W_a^T F W_b: the rebases made
@@ -470,17 +453,21 @@ def redirect_fillin(graph, fills, threshold, events, stats, timings):
 
 def merge_to_parent(graph: ExtendedGraph, level: int,
                     events: list[Event]) -> None:
-    """Join the multipole nodes of siblings into their parent's x node.
+    """Join the nodes of siblings at `level` into their parent's x node.
 
-    Every edge of a child y node moves into the edge of its parent's x
-    node, at the child's offset; the other end stays where it is unless
-    it is a child y node too.
+    A child joins with its y node, or with its x node if it has none
+    (level 1, and the leaves of a depth-1 tree). Every edge of a child
+    node moves into the edge of its parent's x node, at the child's
+    offset; the other end stays where it is unless it is a child node
+    too. Each region of a new parent block receives at most one child
+    block, which is placed, not added.
     """
     tree = graph.tree
-    parent: dict[int, tuple[int, int]] = {}  # child y -> (parent x, offset)
+    parent: dict[int, tuple[int, int]] = {}  # child node -> (parent x, offset)
     for pid in tree.levels[level - 1]:
-        parts = [(graph.node_y[c], graph.sizes[graph.node_y[c]])
-                 for c in tree.clusters[pid].children]
+        kids = [graph.node_y[c] if c in graph.node_y else graph.node_x[c]
+                for c in tree.clusters[pid].children]
+        parts = [(n, graph.sizes[n]) for n in kids]
         px = graph._new_node(sum(s for _, s in parts), X, pid)
         graph.node_x[pid] = px
         off = 0
@@ -500,4 +487,4 @@ def merge_to_parent(graph: ExtendedGraph, level: int,
         if tgt is None:
             tgt = np.zeros((graph.sizes[pt], graph.sizes[ps]))
             graph.set_edge(pt, ps, tgt)
-        tgt[row:row + blk.shape[0], col:col + blk.shape[1]] += blk
+        tgt[row:row + blk.shape[0], col:col + blk.shape[1]] = blk

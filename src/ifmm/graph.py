@@ -18,7 +18,8 @@ so elimination-time sparsity can be asserted.
 The graph borrows the operator blocks: its initial edges are the arrays
 of `H2Operators` themselves, not copies. This is sound because no edge
 block is ever written in place. Every update stores a new array, and
-`merge_to_parent` accumulates only into blocks it has just created.
+`merge_to_parent` places each moved block into a parent block it has
+just created, without accumulating.
 """
 
 from __future__ import annotations
@@ -157,8 +158,8 @@ class ExtendedGraph:
     def dense_matrix(self, nodes=None) -> np.ndarray:
         """Dense matrix of the edges among `nodes`, in the given order.
 
-        By default the whole extended matrix, for small-problem oracles and
-        tests; `factorize` assembles its top-level system this way.
+        By default the whole extended matrix; for small-problem oracles
+        and tests.
         """
         nodes = range(len(self.sizes)) if nodes is None else nodes
         off = dict(zip(nodes, itertools.accumulate(

@@ -1,13 +1,22 @@
 import os
+import sys
+
+import pytest
 
 # Pin BLAS to one thread before numpy is first imported (OpenBLAS reads the
 # variables once, when it loads): on a 2-core machine the default thread
 # count oversubscribes the cores and bends the timing slope of criterion 3.
+# Anything pytest resolves before this module, such as a -W option or an ini
+# filterwarnings entry naming a scipy class, loads numpy too early.
+if "numpy" in sys.modules and os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+    pytest.exit("numpy was imported before tests/conftest.py could pin BLAS to "
+                "one thread (a -W option or filterwarnings entry naming a "
+                "numpy or scipy class does this); set OPENBLAS_NUM_THREADS=1 "
+                "in the environment", returncode=pytest.ExitCode.USAGE_ERROR)
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import numpy as np
-import pytest
 
 
 def pytest_configure(config):

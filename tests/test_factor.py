@@ -5,7 +5,7 @@ import pytest
 
 import ifmm.factor
 from ifmm.dense import dense_matrix
-from ifmm.factor import (TIMING_KEYS, Elim, FillinStats, Rebase,
+from ifmm.factor import (TIMING_KEYS, Elim, FillinStats,
                          SingularPivotError, _cluster_unions,
                          _eliminate_cluster, eliminate_level, factorize,
                          forward_sweep, merge_to_parent)
@@ -165,18 +165,13 @@ def test_first_corner_elimination_has_no_compression():
 
 
 def live_dense_solve(graph, rhs, removed_nodes=frozenset()):
-    """Oracle: dense solve of the remaining system with node rhs `rhs`."""
+    """Oracle: dense solve of the remaining system with node rhs `rhs`;
+    a node absent from `rhs` has a zero right-hand side at its current
+    size."""
     live = [n for n in range(len(graph.sizes)) if n not in removed_nodes]
     E = graph.dense_matrix(live)
-    parts = []
-    for n in live:
-        if graph.kinds[n] == "z":
-            # z rows keep a zero right-hand side, which no event resizes
-            assert not rhs[n].any()
-            parts.append(np.zeros(graph.sizes[n]))
-        else:
-            parts.append(rhs[n])
-    w = np.linalg.solve(E, np.concatenate(parts))
+    w = np.linalg.solve(E, np.concatenate(
+        [rhs.get(n, np.zeros(graph.sizes[n])) for n in live]))
     out = {}
     pos = 0
     for n in live:
@@ -190,7 +185,7 @@ def assert_reduced_matches_unreduced(base, graph, events, eliminated, b):
     solution of the unreduced extended system `base`."""
     removed = {n for c in eliminated
                for n in (graph.node_x[c], graph.node_z[c])}
-    rhs = node_rhs(base, b)
+    rhs = {n: r for n, r in node_rhs(base, b).items() if base.kinds[n] == "x"}
     reduced = live_dense_solve(graph, forward_sweep(events, rhs), removed)
     full = live_dense_solve(base, rhs)
     tree = base.tree
@@ -238,15 +233,21 @@ def test_batched_redirect_matches_dense_over_eliminations(monkeypatch):
     base = assemble_extended_graph(ops)
     cids = tree.levels[tree.depth][:12]
 
-    mixed = []
+    mixed, rebased = [], []
     redirect = ifmm.factor.redirect_fillin
+    rebase = ifmm.factor._apply_rebase
 
     def spy(graph, fills, *args):
         mixed.append(any((ca in graph.eliminated) != (cb in graph.eliminated)
                          for ca, cb in fills))
         return redirect(graph, fills, *args)
 
+    def rebase_spy(graph, c, *args):
+        rebased.append(graph.node_y[c])
+        return rebase(graph, c, *args)
+
     monkeypatch.setattr(ifmm.factor, "redirect_fillin", spy)
+    monkeypatch.setattr(ifmm.factor, "_apply_rebase", rebase_spy)
 
     g = assemble_extended_graph(ops)
     stats = FillinStats(tree.depth)
@@ -254,10 +255,10 @@ def test_batched_redirect_matches_dense_over_eliminations(monkeypatch):
     all_events = []
     for cid in cids:
         events = []
+        rebased.clear()
         widths = {c: len(w) for c, w in g.sigma_u.items()}
         n_ranks = len(stats.ranks)
         _eliminate_cluster(g, cid, 1e-13, events, stats, timings)
-        rebased = [ev.ny for ev in events if isinstance(ev, Rebase)]
         assert len(rebased) == len(set(rebased))
         # each union records the basis width it adds
         grown = [len(w) - widths[c] for c, w in g.sigma_u.items()
@@ -359,14 +360,16 @@ def test_graph_layout_follows_factorize():
     # estimate has applied the graph; the layout must follow
     pts, kern, tree, topo, ops = setup_problem(500)
     graph = assemble_extended_graph(ops)
-    fct = factorize(graph, epsilon=1e-6, seed=0)
+    factorize(graph, epsilon=1e-6, seed=0)
     assert graph.dim == sum(graph.sizes)
     E = graph.dense_matrix()
     assert E.shape == (graph.dim, graph.dim)
     assert graph.apply(np.ones(graph.dim)).shape == (graph.dim,)
     # a node subset is assembled in the given order
     off = np.cumsum([0] + graph.sizes)
-    for nodes in (fct.top_nodes, fct.top_nodes[::-1]):
+    with_edges = sorted({n for edge in graph.edges for n in edge})
+    assert with_edges
+    for nodes in (with_edges, with_edges[::-1]):
         idx = np.concatenate([np.arange(off[t], off[t + 1]) for t in nodes])
         assert np.array_equal(graph.dense_matrix(nodes), E[np.ix_(idx, idx)])
 
@@ -501,13 +504,21 @@ def test_singular_pivot_detected():
     assert [str(w.message) for w in caught] == []
 
 
-def test_dropped_fill_means_no_rebase():
+def test_dropped_fill_means_no_rebase(monkeypatch):
     # with a huge epsilon every well-separated fill is dropped and no
-    # rebase events are recorded
+    # basis union runs
+    unions = []
+    union = ifmm.factor.weighted_basis_union
+
+    def spy(*args, **kwargs):
+        unions.append(1)
+        return union(*args, **kwargs)
+
+    monkeypatch.setattr(ifmm.factor, "weighted_basis_union", spy)
     pts, kern, tree, topo, ops = setup_problem(300, leaf_target=6)
     graph = assemble_extended_graph(ops)
     fct = factorize(graph, epsilon=0.9, seed=0)
-    assert not any(isinstance(ev, Rebase) for ev in fct.events)
+    assert unions == []
     assert all(ls.compressed_pairs == 0 for ls in fct.stats.levels)
 
 
@@ -566,3 +577,44 @@ def test_factorize_rejects_bad_epsilon():
     graph = assemble_extended_graph(ops)
     with pytest.raises(ValueError):
         factorize(graph, epsilon=0.0)
+
+
+@pytest.mark.parametrize("sigma0", [np.nan, np.inf, -1.0, 0.0])
+def test_factorize_rejects_bad_sigma0(sigma0):
+    # nan or inf would drop every well-separated fill, and a sigma0 <= 0
+    # would keep every one
+    pts, kern, tree, topo, ops = setup_problem(100, leaf_target=50)
+    graph = assemble_extended_graph(ops)
+    with pytest.raises(ValueError, match="sigma0"):
+        factorize(graph, epsilon=1e-6, sigma0=sigma0)
+
+
+@pytest.mark.parametrize("kernel", [benchmark_kernel(1e-2), nonsymmetric_kernel()],
+                         ids=["benchmark", "nonsymmetric"])
+def test_rebased_multipole_rows_have_zero_rhs(monkeypatch, kernel):
+    # the solve keeps no record of a rebase: when a cluster's basis widens,
+    # no elimination so far may have written its y node's right-hand side
+    # (ny, targets) or read its solution (sources)
+    logs, checked = [], []
+    eliminate, rebase = ifmm.factor.eliminate_level, ifmm.factor._apply_rebase
+
+    def level_spy(graph, level, threshold, events, timings):
+        logs.append(events)
+        return eliminate(graph, level, threshold, events, timings)
+
+    def rebase_spy(graph, c, *args):
+        ny = graph.node_y[c]
+        for ev in logs[-1]:
+            if isinstance(ev, Elim):
+                assert ny != ev.ny
+                assert ny not in {n for n, _ in ev.targets + ev.sources}
+        checked.append(ny)
+        return rebase(graph, c, *args)
+
+    monkeypatch.setattr(ifmm.factor, "eliminate_level", level_spy)
+    monkeypatch.setattr(ifmm.factor, "_apply_rebase", rebase_spy)
+    pts, kern, tree, topo, ops = setup_problem(500, leaf_target=3, kernel=kernel)
+    assert tree.depth == 3
+    factorize(assemble_extended_graph(ops), epsilon=1e-10, seed=0)
+    assert len(logs) == 2 and logs[0] is logs[1]
+    assert checked
