@@ -17,9 +17,17 @@ problem. Levels 1 and 0 are not eliminated: the merges carry what
 remains up to the root, and the self-edge of the root's x node is the
 top-level system.
 
+For a symmetric kernel (`Kernel.symmetric`) the graph stays exactly
+symmetric (see `ifmm.graph`) and elimination does the symmetric half of
+the work: each fill is formed once and mirrored, each cluster takes one
+basis union with V = U, and a rebase rewrites only its y node's rows.
+Non-symmetric kernels take the two-sided path.
+
 The factorization records a replayable event log of two typed records:
 `Elim` (pivot factors and the popped edge snapshots of one cluster) and
 `Merge` (the layout of the children's nodes in their parent's x node).
+On the symmetric path an `Elim` keeps only its row edges; its column
+edges are their transposes (`targets is None`).
 The log is the only right-hand-side path: `forward_sweep` pushes a
 right-hand side through it, and `IFMMFactorization.solve` pulls the
 solution back by substitution, for any number of right-hand sides
@@ -93,7 +101,9 @@ class Elim:
     """Elimination of one cluster's (x, z) pair.
 
     `sources` holds the popped row edges E(x, b) and `targets` the popped
-    column edges E(a, x), each as (node, block).
+    column edges E(a, x), each as (node, block). `targets is None` on a
+    symmetric graph: the column edges are then the transposes of the row
+    edges, E(b, x) = E(x, b)^T.
     """
     nx: int
     ny: int
@@ -101,7 +111,7 @@ class Elim:
     size_z: int
     lu_piv: tuple[np.ndarray, np.ndarray] | None
     sources: list[tuple[int, np.ndarray]]
-    targets: list[tuple[int, np.ndarray]]
+    targets: list[tuple[int, np.ndarray]] | None
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,8 +144,13 @@ def forward_sweep(events: list[Event],
         if isinstance(ev, Elim):
             g = _pivot_solve(ev.lu_piv,
                              np.concatenate([rhs[ev.nx], np.zeros(ev.size_z)]))
-            for a, blk in ev.targets:
-                rhs[a] = rhs[a] - blk @ g[:ev.size_x]
+            gx = g[:ev.size_x]
+            if ev.targets is None:
+                for a, blk in ev.sources:
+                    rhs[a] = rhs[a] - blk.T @ gx
+            else:
+                for a, blk in ev.targets:
+                    rhs[a] = rhs[a] - blk @ gx
             rhs[ev.ny] = g[ev.size_x:]
         else:
             rhs[ev.px] = np.concatenate([rhs[c] for c, _ in ev.parts])
@@ -296,41 +311,58 @@ def _eliminate_cluster(graph, cid, threshold, events, stats, timings):
     lu_piv = _lu(P, f"cluster {cid}")
 
     sources = [(b, graph.pop_edge(nx, b)) for b in sorted(graph.row_sources[nx])]
-    targets = [(a, graph.pop_edge(a, nx)) for a in sorted(graph.col_targets[nx])]
+    if graph.symmetric:
+        targets = None
+        for b, _ in sources:
+            graph.pop_edge(b, nx)
+        col_blocks = [(a, Eb.T) for a, Eb in sources]
+    else:
+        targets = [(a, graph.pop_edge(a, nx))
+                   for a in sorted(graph.col_targets[nx])]
+        col_blocks = targets
     if graph.row_sources[nz] or graph.col_targets[nz]:
         raise AssertionError("z node unexpectedly has extra edges")
 
     events.append(Elim(nx, ny, size_x, size_z, lu_piv, sources, targets))
     graph.eliminated.add(cid)
 
-    # Schur complement columns: X_b = P^{-1} [E(x,b); 0], plus the column
-    # through the -I edge of the own multipole node.
-    xcols = {}
-    for b, Eb in sources:
-        xcols[b] = _pivot_solve(lu_piv, np.vstack(
-            [Eb, np.zeros((size_z, Eb.shape[1]))]))
-    xcols[ny] = _pivot_solve(lu_piv, np.vstack(
-        [np.zeros((size_x, size_z)), -np.eye(size_z)]))
+    # Schur complement columns, in one solve: X_b = P^{-1} [E(x,b); 0] for
+    # every source b, and the column through the -I edge of the own
+    # multipole node
+    src_nodes = [b for b, _ in sources] + [ny]
+    offs = np.cumsum([0] + [Eb.shape[1] for _, Eb in sources] + [size_z])
+    rhs = np.zeros((size_x + size_z, offs[-1]))
+    for j, (_, Eb) in enumerate(sources):
+        rhs[:size_x, offs[j]:offs[j + 1]] = Eb
+    rhs[size_x:, offs[-2]:] = -np.eye(size_z)
+    X = _pivot_solve(lu_piv, rhs)
+    xcols = {b: X[:, offs[j]:offs[j + 1]] for j, b in enumerate(src_nodes)}
 
     timings["lu_and_triangular_solves"] += time.perf_counter() - t0
 
+    # F(a, b) = -E(a, x) X_b[:x] for a target a, and the z rows X_b[z:] for
+    # the own multipole node, whose only column edge is -I on z. On a
+    # symmetric graph F(b, a) = F(a, b)^T: only b at or after a is formed.
     t0 = time.perf_counter()
     fills: dict[tuple[int, int], np.ndarray] = {}
-    all_targets = targets + [(ny, None)]
-    all_sources = [(b, None) for b, _ in sources] + [(ny, None)]
-    for a, Ea in all_targets:
+    all_targets = col_blocks + [(ny, None)]
+    for i, (a, Ea) in enumerate(all_targets):
         ca = graph.cluster_of[a]
-        for b, _ in all_sources:
+        for b in (src_nodes[i:] if targets is None else src_nodes):
             Xb = xcols[b]
-            F = Xb[size_x:, :] if a == ny else -(Ea @ Xb[:size_x, :])
+            # a copy: a stored fill must not keep all of X alive
+            F = Xb[size_x:, :].copy() if a == ny else -(Ea @ Xb[:size_x, :])
             cb = graph.cluster_of[b]
             both_done = ca in graph.eliminated and cb in graph.eliminated
             if both_done or graph.topology.are_neighbors(ca, cb):
                 # neighbor fill, or fill between two multipole nodes whose
-                # same-level coupling edge already exists: add in place
+                # same-level coupling edge already exists: add to it (and
+                # to its mirror)
                 graph.add_to_edge(a, b, F)
             else:
                 fills[(ca, cb)] = F
+                if targets is None:
+                    fills[(cb, ca)] = F.T
     timings["matmul_updates"] += time.perf_counter() - t0
 
     redirect_fillin(graph, fills, threshold, stats, timings)
@@ -345,14 +377,14 @@ def _cluster_unions(graph, c, fill_u, fill_v, threshold):
     """U- and V-side basis unions for cluster c, at equal rank.
 
     `fill_u` and `fill_v` are lists of raw fill blocks whose columns extend
-    the U and V bases; they enter the union with unit weights. The z and y
-    nodes are tied by -I edges, so both sides must end at one rank: the
-    side of lower rank is unioned again with that rank as its minimum.
+    the U and V bases; they enter the union with unit weights. On a
+    symmetric graph V = U and `fill_v` holds the transposes of `fill_u`:
+    one union serves both sides. Otherwise the z and y nodes, tied by -I
+    edges, make both sides end at one rank: the side of lower rank is
+    unioned again with that rank as its minimum.
     """
     nx, nz = graph.node_x[c], graph.node_z[c]
-    Uc = graph.get_edge(nx, nz)
-    Vc = graph.get_edge(nz, nx).T
-    su, sv = graph.sigma_u[c], graph.sigma_v[c]
+    Uc, su = graph.get_edge(nx, nz), graph.sigma_u[c]
 
     def union(basis, weights, blocks, min_rank=0):
         fill = np.hstack(blocks) if blocks else np.zeros((basis.shape[0], 0))
@@ -360,6 +392,9 @@ def _cluster_unions(graph, c, fill_u, fill_v, threshold):
                                     threshold, min_rank=min_rank)
 
     bu_u = union(Uc, su, fill_u) if fill_u else _identity_update(Uc, su)
+    if graph.symmetric:
+        return bu_u, bu_u
+    Vc, sv = graph.get_edge(nz, nx).T, graph.sigma_v[c]
     bu_v = union(Vc, sv, fill_v) if fill_v else _identity_update(Vc, sv)
     k = max(bu_u.rank, bu_v.rank)
     if bu_u.rank < k:
@@ -371,6 +406,10 @@ def _cluster_unions(graph, c, fill_u, fill_v, threshold):
 
 def _apply_rebase(graph, c, bu_u, bu_v):
     """Swap in the new U/V bases of cluster c and rebase its y node's edges.
+
+    Rows of y_c go through r, columns through t^T. On a symmetric graph
+    t = r and only the rows are rewritten: `set_edge` mirrors each one
+    into its column, and the self-edge becomes r E r^T.
 
     The solve keeps no record of it. A live cluster's y node has no edge
     to an x node, so no elimination so far lists it among its targets or
@@ -388,10 +427,13 @@ def _apply_rebase(graph, c, bu_u, bu_v):
 
     for b in sorted(graph.row_sources[ny]):
         if b != nz:
-            graph.set_edge(ny, b, r @ graph.get_edge(ny, b))
-    for a in sorted(graph.col_targets[ny]):
-        if a != nz:
-            graph.set_edge(a, ny, graph.get_edge(a, ny) @ t.T)
+            blk = r @ graph.get_edge(ny, b)
+            graph.set_edge(ny, b, blk @ t.T if graph.symmetric and b == ny
+                           else blk)
+    if not graph.symmetric:
+        for a in sorted(graph.col_targets[ny]):
+            if a != nz:
+                graph.set_edge(a, ny, graph.get_edge(a, ny) @ t.T)
 
     graph.pop_edge(nz, ny)
     graph.pop_edge(ny, nz)
@@ -412,7 +454,9 @@ def redirect_fillin(graph, fills, threshold, stats, timings):
     basis union over the raw kept fills (F into it on the U side, F^T of F
     out of it on the V side) and one rebase of all its y node's edges.
     Each kept fill is then projected onto the new bases and added to the
-    y-y edge of its pair.
+    y-y edge of its pair. On a symmetric graph `fills` holds both F(a, b)
+    and F(b, a) = F(a, b)^T, and only the pairs with a < b are added: the
+    mirror follows.
     """
     t0 = time.perf_counter()
     kept = {key: F for key, F in sorted(fills.items())
@@ -441,6 +485,8 @@ def redirect_fillin(graph, fills, threshold, stats, timings):
     # basis of a live source, and an eliminated side keeps the fill on its
     # y node unprojected
     for (a, b), F in kept.items():
+        if graph.symmetric and a > b:
+            continue  # set_edge stores it as the mirror of (b, a)
         if a in bus_u:
             F = bus_u[a].new_basis.T @ F
         if b in bus_v:

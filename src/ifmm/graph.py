@@ -20,6 +20,14 @@ of `H2Operators` themselves, not copies. This is sound because no edge
 block is ever written in place. Every update stores a new array, and
 `merge_to_parent` places each moved block into a parent block it has
 just created, without accumulating.
+
+For a symmetric kernel the graph is kept exactly symmetric: `set_edge`
+stores an off-diagonal block together with its mirror, E(s, t) = E(t, s)^T
+as a transposed view of the same new array. Both directions stay keys, so
+the edge counts do not depend on the kernel. Since no block is written in
+place, a mirror never goes stale; a placement into a just-created parent
+block through its mirror writes the same memory with the same values.
+Self-edges E(a, a) are not mirrored.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ class ExtendedGraph:
         self.tree = tree
         self.topology = ops.topology
         self.block_dim = bd
+        self.symmetric = ops.kernel.symmetric
 
         self.sizes: list[int] = []
         self.kinds: list[str] = []
@@ -101,19 +110,24 @@ class ExtendedGraph:
         return nid
 
     def set_edge(self, t: int, s: int, block: np.ndarray) -> None:
+        """Store E(t, s), and on a symmetric graph its mirror E(s, t)."""
+        self._store(t, s, block)
+        if self.symmetric and t != s:
+            self._store(s, t, block.T)
+        self.peak_edges = max(self.peak_edges, len(self.edges))
+
+    def _store(self, t: int, s: int, block: np.ndarray) -> None:
         if (t, s) not in self.edges:
             self.row_sources[t].add(s)
             self.col_targets[s].add(t)
         self.edges[(t, s)] = block
-        self.peak_edges = max(self.peak_edges, len(self.edges))
 
     def add_to_edge(self, t: int, s: int, block: np.ndarray) -> None:
-        if (t, s) in self.edges:
-            self.edges[(t, s)] = self.edges[(t, s)] + block
-        else:
-            self.set_edge(t, s, block)
+        old = self.edges.get((t, s))
+        self.set_edge(t, s, block if old is None else old + block)
 
     def pop_edge(self, t: int, s: int) -> np.ndarray:
+        """Remove and return E(t, s) alone; the caller pops a mirror too."""
         blk = self.edges.pop((t, s))
         self.row_sources[t].discard(s)
         self.col_targets[s].discard(t)

@@ -28,6 +28,9 @@ from .lowrank import left_singular
 from .tree import ClusterTopology, Octree
 
 
+SYMMETRY_RTOL = 1e-12  # leaf self blocks of a kernel marked symmetric
+
+
 def cheb_nodes(n: int) -> np.ndarray:
     """Chebyshev points of the first kind on (-1, 1)."""
     return np.cos((2.0 * np.arange(n) + 1.0) * np.pi / (2.0 * n))
@@ -110,6 +113,10 @@ def chebyshev_operators(tree: Octree, topology: ClusterTopology, kernel: Kernel,
     The reduction threshold per block is max(epsilon, 1e-13) times the
     block's leading singular value, so epsilon=0 gives a numerically
     lossless orthonormalization.
+
+    For a kernel marked symmetric, every leaf self block must equal its
+    transpose to SYMMETRY_RTOL relative (Frobenius norm); otherwise a
+    ValueError asks for `symmetric=False`.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -179,6 +186,12 @@ def chebyshev_operators(tree: Octree, topology: ClusterTopology, kernel: Kernel,
             cj = cl[j]
             pj = tree.points[cj.start:cj.stop]
             S = kernel.block(pi, pj)
+            if j == i and kernel.symmetric and (
+                    np.linalg.norm(S - S.T) > SYMMETRY_RTOL * np.linalg.norm(S)):
+                raise ValueError(
+                    f"kernel {kernel.name!r} is marked symmetric, but the "
+                    f"self block of leaf {i} is not; build it with "
+                    "symmetric=False")
             near[(i, j)] = S
             if j != i:
                 near[(j, i)] = S.T if kernel.symmetric else kernel.block(pj, pi)

@@ -198,12 +198,14 @@ def assert_reduced_matches_unreduced(base, graph, events, eliminated, b):
         assert num <= 1e-9 * max(den, 1.0)
 
 
-def test_redirect_preserves_schur_system():
+@pytest.mark.parametrize("kernel", [benchmark_kernel(0.2), nonsymmetric_kernel()],
+                         ids=["benchmark", "nonsymmetric"])
+def test_redirect_preserves_schur_system(kernel):
     # eliminating one cluster with compression+redirection must leave a
     # remaining system equivalent to the unreduced one; leaves are kept
     # larger than the interpolation rank so the x-to-x Schur fill is
     # nonzero
-    pts, kern, tree, topo, ops = setup_problem(900, leaf_target=40, d=0.2)
+    pts, kern, tree, topo, ops = setup_problem(900, leaf_target=40, kernel=kernel)
     b = np.random.default_rng(6).standard_normal(len(pts))
     base = assemble_extended_graph(ops)
 
@@ -224,11 +226,13 @@ def test_redirect_preserves_schur_system():
     assert_reduced_matches_unreduced(base, g, events, {target}, b)
 
 
-def test_batched_redirect_matches_dense_over_eliminations(monkeypatch):
+@pytest.mark.parametrize("kernel", [benchmark_kernel(0.2), nonsymmetric_kernel()],
+                         ids=["benchmark", "nonsymmetric"])
+def test_batched_redirect_matches_dense_over_eliminations(monkeypatch, kernel):
     # several eliminations in Morton order, so later ones redirect fill
     # between a live cluster and an already eliminated one; the remaining
     # system must stay equivalent to the unreduced one
-    pts, kern, tree, topo, ops = setup_problem(900, leaf_target=40, d=0.2)
+    pts, kern, tree, topo, ops = setup_problem(900, leaf_target=40, kernel=kernel)
     b = np.random.default_rng(11).standard_normal(len(pts))
     base = assemble_extended_graph(ops)
     cids = tree.levels[tree.depth][:12]
@@ -336,8 +340,9 @@ def test_factorize_without_sigma0_estimate_ignores_seed():
 
 def test_cluster_unions_equalize_ranks():
     # fill on the U side only: the V side is brought to the same rank, and
-    # both old bases stay representable in the new ones
-    pts, kern, tree, topo, ops = setup_problem(400)
+    # both old bases stay representable in the new ones (a non-symmetric
+    # kernel: a symmetric one takes a single union for both sides)
+    pts, kern, tree, topo, ops = setup_problem(400, kernel=nonsymmetric_kernel())
     graph = assemble_extended_graph(ops)
     c = max(tree.leaves(), key=lambda cid: tree.clusters[cid].size)
     nx, nz = graph.node_x[c], graph.node_z[c]
@@ -594,7 +599,8 @@ def test_factorize_rejects_bad_sigma0(sigma0):
 def test_rebased_multipole_rows_have_zero_rhs(monkeypatch, kernel):
     # the solve keeps no record of a rebase: when a cluster's basis widens,
     # no elimination so far may have written its y node's right-hand side
-    # (ny, targets) or read its solution (sources)
+    # (ny, targets) or read its solution (sources); a symmetric factor
+    # keeps no targets, whose nodes are then those of the sources
     logs, checked = [], []
     eliminate, rebase = ifmm.factor.eliminate_level, ifmm.factor._apply_rebase
 
@@ -607,7 +613,10 @@ def test_rebased_multipole_rows_have_zero_rhs(monkeypatch, kernel):
         for ev in logs[-1]:
             if isinstance(ev, Elim):
                 assert ny != ev.ny
-                assert ny not in {n for n, _ in ev.targets + ev.sources}
+                nodes = {n for n, _ in ev.sources}
+                if ev.targets is not None:
+                    nodes |= {n for n, _ in ev.targets}
+                assert ny not in nodes
         checked.append(ny)
         return rebase(graph, c, *args)
 
@@ -618,3 +627,60 @@ def test_rebased_multipole_rows_have_zero_rhs(monkeypatch, kernel):
     factorize(assemble_extended_graph(ops), epsilon=1e-10, seed=0)
     assert len(logs) == 2 and logs[0] is logs[1]
     assert checked
+
+
+@pytest.mark.parametrize("kernel", [benchmark_kernel(1e-2), nonsymmetric_kernel()],
+                         ids=["benchmark", "nonsymmetric"])
+def test_symmetric_kernel_factors_one_side(monkeypatch, kernel):
+    # a symmetric kernel keeps the graph exactly symmetric through every
+    # elimination, rebase and merge: mirrored edges, U = V and one set of
+    # weights per cluster, and Elim records without targets
+    symmetric = kernel.symmetric
+    checked, rebased = [], []
+    eliminate, rebase = ifmm.factor.eliminate_level, ifmm.factor._apply_rebase
+
+    def assert_u_equals_v(graph, c):
+        assert np.array_equal(graph.sigma_u[c], graph.sigma_v[c])
+        if c in graph.node_x:
+            nx, nz = graph.node_x[c], graph.node_z[c]
+            assert np.array_equal(graph.get_edge(nx, nz),
+                                  graph.get_edge(nz, nx).T)
+
+    def assert_symmetric(graph):
+        for (a, b), blk in graph.edges.items():
+            if a != b:
+                assert np.array_equal(blk, graph.edges[(b, a)].T)
+        for c in graph.node_z:
+            if c not in graph.eliminated:
+                assert_u_equals_v(graph, c)
+        checked.append(graph.num_edges)
+
+    def level_spy(graph, level, *args):
+        if symmetric:
+            assert_symmetric(graph)
+        out = eliminate(graph, level, *args)
+        if symmetric:
+            assert_symmetric(graph)
+        return out
+
+    def rebase_spy(graph, c, *args):
+        out = rebase(graph, c, *args)
+        if symmetric:
+            assert_u_equals_v(graph, c)
+        rebased.append(c)
+        return out
+
+    monkeypatch.setattr(ifmm.factor, "eliminate_level", level_spy)
+    monkeypatch.setattr(ifmm.factor, "_apply_rebase", rebase_spy)
+    pts, kern, tree, topo, ops = setup_problem(500, leaf_target=3, kernel=kernel)
+    assert tree.depth == 3
+    fct = factorize(assemble_extended_graph(ops), epsilon=1e-10, seed=0)
+    assert len(checked) == (4 if symmetric else 0)
+    assert rebased
+    elims = [ev for ev in fct.events if isinstance(ev, Elim)]
+    assert elims
+    for ev in elims:
+        if symmetric:
+            assert ev.targets is None
+        else:
+            assert isinstance(ev.targets, list)

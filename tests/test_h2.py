@@ -293,3 +293,18 @@ def test_nonsymmetric_kernel_h2_matches_dense():
     A = dense_matrix(pts, kern)[np.ix_(tree.perm, tree.perm)]
     err = np.linalg.norm(h2_dense(ops) - A) / np.linalg.norm(A)
     assert err < 1e-3
+
+
+def test_kernel_wrongly_marked_symmetric_raises():
+    # a row-scaled kernel built without symmetric=False defaults to
+    # symmetric; its leaf self blocks are not, and the builder says so
+    def block(P, Q):
+        r = np.linalg.norm(P[:, None, :] - Q[None, :, :], axis=-1)
+        return (1.0 + 0.5 * P[:, :1]) / (0.1 + r)
+
+    pts = cube_uniform(300, seed=3).points
+    with pytest.raises(ValueError, match="symmetric=False"):
+        make_ops(pts, Kernel("row-scaled", 1, {}, block), n=2)
+    tree, topo, ops = make_ops(
+        pts, Kernel("row-scaled", 1, {}, block, symmetric=False), n=2)
+    assert any(not np.allclose(S, S.T) for (i, j), S in ops.near.items() if i == j)
