@@ -24,13 +24,20 @@ basis union with V = U, and a rebase rewrites only its y node's rows.
 Non-symmetric kernels take the two-sided path.
 
 The factorization records a replayable event log of two typed records:
-`Elim` (pivot factors and the popped edge snapshots of one cluster) and
+`Elim` (pivot factors and the popped edges of one cluster: its row edges
+as one array, and on the two-sided path its column edges as another) and
 `Merge` (the layout of the children's nodes in their parent's x node).
-On the symmetric path an `Elim` keeps only its row edges; its column
-edges are their transposes (`targets is None`).
-The log is the only right-hand-side path: `forward_sweep` pushes a
-right-hand side through it, and `IFMMFactorization.solve` pulls the
-solution back by substitution, for any number of right-hand sides
+On the symmetric path the column edges are the transposes of the rows.
+At the end of `factorize` the log is compiled into a `Replay` on one
+vector: every node owns a fixed segment, the leaf x nodes in the
+permuted point order first, so a right-hand side is copied straight in.
+Going forward, an `Elim` is one pivot solve and one matrix-vector product
+scattered into its targets' segments, and a `Merge` one gather; going
+back, an `Elim` is one gathered product and one pivot solve, and a
+`Merge` one scatter. Pivot solves call LAPACK getrs directly.
+`forward_sweep` (the test oracles' entry, on any prefix of a log) and
+`IFMMFactorization.solve` run the same compiled replay; the solve pulls
+the solution back by substitution, for any number of right-hand sides
 without refactorizing.
 """
 
@@ -39,9 +46,11 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import dgetrs
 
 from .graph import ExtendedGraph, X, estimate_sigma0
 from .lowrank import BasisUpdate, weighted_basis_union
@@ -100,18 +109,21 @@ TIMING_KEYS = ("lu_and_triangular_solves", "matmul_updates",
 class Elim:
     """Elimination of one cluster's (x, z) pair.
 
-    `sources` holds the popped row edges E(x, b) and `targets` the popped
-    column edges E(a, x), each as (node, block). `targets is None` on a
-    symmetric graph: the column edges are then the transposes of the row
-    edges, E(b, x) = E(x, b)^T.
+    `rows` holds the popped row edges E(x, b) side by side, one column
+    block per (node, size) of `sources`, in that order. `cols` stacks the
+    popped column edges E(a, x), one row block per (node, size) of
+    `targets`. Both are None on a symmetric graph: the column edges are
+    then the transposes of the row edges, E(b, x) = E(x, b)^T.
     """
     nx: int
     ny: int
     size_x: int
     size_z: int
     lu_piv: tuple[np.ndarray, np.ndarray] | None
-    sources: list[tuple[int, np.ndarray]]
-    targets: list[tuple[int, np.ndarray]] | None
+    sources: tuple[tuple[int, int], ...]
+    rows: np.ndarray
+    targets: tuple[tuple[int, int], ...] | None
+    cols: np.ndarray | None
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,33 +140,123 @@ class Merge:
 Event = Elim | Merge
 
 
+class _ElimStep(NamedTuple):
+    xs: slice                 # segment of the x node
+    ys: slice                 # segment of the y node
+    lu_piv: tuple[np.ndarray, np.ndarray] | None
+    src: np.ndarray           # gather index of the sources' segments
+    tgt: np.ndarray           # gather index of the targets' segments
+    rows: np.ndarray          # E(x, sources)
+    fwd: np.ndarray           # E(targets, x): `cols`, or `rows.T`
+
+
+class _MergeStep(NamedTuple):
+    ps: slice                 # segment of the parent x node
+    parts: np.ndarray         # gather index of the parts' segments
+
+
+@dataclass(frozen=True, slots=True)
+class Replay:
+    """An event log compiled onto one vector.
+
+    Every node the log touches owns the fixed segment `segments[node]` of
+    a vector of length `size`. `forward` pushes the right-hand side held
+    in the vector through the events: an `Elim` leaves the right-hand side
+    of its x node at elimination in the x segment and sets its y segment,
+    and a `Merge` gathers its parts into the parent segment. `backward`
+    takes the vector with the solution of the remaining nodes in their
+    segments and substitutes back through the events in reverse, leaving
+    each eliminated x node's solution in its segment.
+    """
+    segments: dict[int, slice]
+    size: int
+    steps: list[_ElimStep | _MergeStep]
+
+    def forward(self, v: np.ndarray) -> None:
+        for st in self.steps:
+            if type(st) is _MergeStep:
+                v[st.ps] = v[st.parts]
+                continue
+            xs, ys, lu_piv, _, tgt, _, fwd = st
+            sx = xs.stop - xs.start
+            g = np.zeros(sx + ys.stop - ys.start)
+            g[:sx] = v[xs]
+            g = _pivot_solve(lu_piv, g)
+            v[tgt] -= fwd @ g[:sx]
+            v[ys] = g[sx:]
+
+    def backward(self, v: np.ndarray) -> None:
+        for st in reversed(self.steps):
+            if type(st) is _MergeStep:
+                v[st.parts] = v[st.ps]
+                continue
+            xs, ys, lu_piv, src, _, rows, _ = st
+            sx = xs.stop - xs.start
+            r = np.empty(sx + ys.stop - ys.start)
+            np.subtract(v[xs], rows @ v[src], out=r[:sx])
+            r[sx:] = v[ys]
+            v[xs] = _pivot_solve(lu_piv, r)[:sx]
+
+
+def compile_replay(events: list[Event], leading: dict[int, slice]) -> Replay:
+    """Lay out the nodes of `events` on one vector and compile their replay.
+
+    The nodes of `leading` keep the segments given there; every other node
+    gets the next free segment, in order of first appearance.
+    """
+    segments = dict(leading)
+    size = max((s.stop for s in leading.values()), default=0)
+
+    def segment(node, n):
+        nonlocal size
+        if node not in segments:
+            segments[node] = slice(size, size + n)
+            size += n
+        return segments[node]
+
+    def gather(parts):
+        return np.concatenate(
+            [np.arange(s.start, s.stop, dtype=np.int32)
+             for s in (segment(node, n) for node, n in parts)] or
+            [np.zeros(0, np.int32)])
+
+    steps: list[_ElimStep | _MergeStep] = []
+    for ev in events:
+        if isinstance(ev, Elim):
+            xs, ys = segment(ev.nx, ev.size_x), segment(ev.ny, ev.size_z)
+            src = gather(ev.sources)
+            if ev.cols is None:
+                tgt, fwd = src, ev.rows.T
+            else:
+                tgt, fwd = gather(ev.targets), ev.cols
+            steps.append(_ElimStep(xs, ys, ev.lu_piv, src, tgt, ev.rows, fwd))
+        else:
+            ps = segment(ev.px, sum(n for _, n in ev.parts))
+            steps.append(_MergeStep(ps, gather(ev.parts)))
+    return Replay(segments, size, steps)
+
+
 def forward_sweep(events: list[Event],
                   rhs: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
     """Push a right-hand side through the recorded elimination.
 
     `rhs` maps every leaf x node to the right-hand side of its rows; every
-    other row starts with a zero right-hand side, which the events never
-    read before they set it. Returns a new map whose entries for the
-    remaining nodes are the right-hand side of the reduced system and
-    whose entry for an eliminated x node is its right-hand side at
-    elimination. Neither `rhs` nor its arrays are modified.
+    other row starts with a zero right-hand side. Returns a map from every
+    node of `rhs` or `events` to its right-hand side after the events:
+    for the remaining nodes, that of the reduced system, and for an
+    eliminated x node, that at its elimination. The arrays are views of
+    one vector; neither `rhs` nor its arrays are modified.
     """
-    rhs = dict(rhs)
-    for ev in events:
-        if isinstance(ev, Elim):
-            g = _pivot_solve(ev.lu_piv,
-                             np.concatenate([rhs[ev.nx], np.zeros(ev.size_z)]))
-            gx = g[:ev.size_x]
-            if ev.targets is None:
-                for a, blk in ev.sources:
-                    rhs[a] = rhs[a] - blk.T @ gx
-            else:
-                for a, blk in ev.targets:
-                    rhs[a] = rhs[a] - blk @ gx
-            rhs[ev.ny] = g[ev.size_x:]
-        else:
-            rhs[ev.px] = np.concatenate([rhs[c] for c, _ in ev.parts])
-    return rhs
+    leading, off = {}, 0
+    for node, r in rhs.items():
+        leading[node] = slice(off, off + len(r))
+        off += len(r)
+    replay = compile_replay(events, leading)
+    v = np.zeros(replay.size)
+    for node, r in rhs.items():
+        v[leading[node]] = r
+    replay.forward(v)
+    return {node: v[s] for node, s in replay.segments.items()}
 
 
 @dataclass(eq=False)
@@ -165,6 +267,7 @@ class IFMMFactorization:
     perm: np.ndarray
     leaf_slices: list[tuple[int, int, int]]   # (x node, start, stop) point slices
     events: list[Event]
+    replay: Replay                             # `events` on one vector
     root: int                                  # x node of the top-level system
     top_lu: tuple[np.ndarray, np.ndarray] | None
     epsilon: float
@@ -177,39 +280,33 @@ class IFMMFactorization:
         return self.n_points * self.block_dim
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve A x = b (original point ordering) using the stored factor."""
+        """Solve A x = b (original point ordering) using the stored factor.
+
+        Raises ValueError unless b has shape (dim,) and finite entries.
+        """
         b = np.asarray(b, dtype=float)
         if b.shape != (self.dim,):
             raise ValueError(f"rhs must have shape ({self.dim},)")
-        bd = self.block_dim
-        bt = b.reshape(self.n_points, bd)[self.perm].ravel()
-
-        rhs = forward_sweep(self.events, {nx: bt[start * bd:stop * bd]
-                                          for nx, start, stop in self.leaf_slices})
-        sol = {self.root: _pivot_solve(self.top_lu, rhs[self.root])}
-        for ev in reversed(self.events):
-            if isinstance(ev, Elim):
-                rx = rhs[ev.nx].copy()
-                for bnode, blk in ev.sources:
-                    rx -= blk @ sol[bnode]
-                xz = _pivot_solve(ev.lu_piv, np.concatenate([rx, sol[ev.ny]]))
-                sol[ev.nx] = xz[:ev.size_x]
-            else:
-                off = 0
-                for c, s in ev.parts:
-                    sol[c] = sol[ev.px][off:off + s]
-                    off += s
-
-        out_t = np.concatenate([sol[nx] for nx, _, _ in self.leaf_slices])
-        out = np.empty_like(out_t).reshape(self.n_points, bd)
-        out[self.perm] = out_t.reshape(self.n_points, bd)
+        if not np.isfinite(b).all():
+            raise ValueError("rhs must be finite (it has nan or inf entries)")
+        n, bd = self.n_points, self.block_dim
+        # the leaf x segments tile [0, dim) in the permuted point order
+        v = np.zeros(self.replay.size)
+        v[:self.dim] = b.reshape(n, bd)[self.perm].ravel()
+        self.replay.forward(v)
+        rs = self.replay.segments[self.root]
+        v[rs] = _pivot_solve(self.top_lu, v[rs])
+        self.replay.backward(v)
+        out = np.empty((n, bd))
+        out[self.perm] = v[:self.dim].reshape(n, bd)
         return out.ravel()
 
 
-def _pivot_solve(lu_piv, rhs):
-    if lu_piv is None:  # zero-dimensional pivot
-        return rhs[:0] if rhs.ndim == 1 else rhs[:0, :]
-    return sla.lu_solve(lu_piv, rhs)
+def _pivot_solve(lu_piv, b):
+    """P^{-1} b by LAPACK getrs; overwrites b if it is Fortran-contiguous."""
+    if lu_piv is None:  # zero-dimensional pivot: b has no rows
+        return b
+    return dgetrs(lu_piv[0], lu_piv[1], b, overwrite_b=1)[0]
 
 
 def _lu(P, what):
@@ -218,8 +315,9 @@ def _lu(P, what):
     with warnings.catch_warnings():  # a singular pivot raises, below
         warnings.simplefilter("ignore", sla.LinAlgWarning)
         lu, piv = sla.lu_factor(P, check_finite=False)
+    # min and max are finite iff every entry is: no n x n temporary
     d = np.abs(np.diag(lu))
-    if not np.all(np.isfinite(lu)) or (d.size and d.min() == 0.0):
+    if not (np.isfinite(lu.min()) and np.isfinite(lu.max())) or d.min() == 0.0:
         raise SingularPivotError(what)
     return lu, piv
 
@@ -237,9 +335,10 @@ def factorize(graph: ExtendedGraph, epsilon: float, seed: int = 0,
     `seed` seeds only that estimate; elimination draws no random numbers,
     so with `sigma0` given the factorization does not depend on `seed`.
 
-    The graph and the returned factor borrow the operator blocks of
-    `graph.ops` without copying them; do not modify those arrays in place
-    while either is in use.
+    The graph borrows the operator blocks of `graph.ops` without copying
+    them; do not modify those arrays in place while it is in use. The
+    returned factor keeps no operator block: each `Elim` concatenates the
+    edges it records into arrays of its own.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
@@ -279,10 +378,13 @@ def factorize(graph: ExtendedGraph, epsilon: float, seed: int = 0,
     stats.max_basis_rank = max((len(w) for w in graph.sigma_u.values()), default=0)
     stats.max_fill_rank = max((ls.max_rank for ls in stats.levels), default=0)
 
+    replay = compile_replay(events, {nx: slice(start * bd, stop * bd)
+                                     for nx, start, stop in leaf_slices})
     return IFMMFactorization(
         n_points=tree.n_points, block_dim=bd, perm=tree.perm,
-        leaf_slices=leaf_slices, events=events, root=root, top_lu=top_lu,
-        epsilon=epsilon, sigma0=sigma0, stats=stats, timings=timings)
+        leaf_slices=leaf_slices, events=events, replay=replay, root=root,
+        top_lu=top_lu, epsilon=epsilon, sigma0=sigma0, stats=stats,
+        timings=timings)
 
 
 def eliminate_level(graph: ExtendedGraph, level: int, threshold: float,
@@ -310,48 +412,57 @@ def _eliminate_cluster(graph, cid, threshold, events, stats, timings):
     P = np.block([[D, U], [Vt, np.zeros((size_z, size_z))]])
     lu_piv = _lu(P, f"cluster {cid}")
 
-    sources = [(b, graph.pop_edge(nx, b)) for b in sorted(graph.row_sources[nx])]
+    # the popped edges are stacked into the arrays the event keeps, and
+    # the fill products below read views of them
+    src_nodes = sorted(graph.row_sources[nx])
     if graph.symmetric:
-        targets = None
-        for b, _ in sources:
+        for b in src_nodes:
             graph.pop_edge(b, nx)
-        col_blocks = [(a, Eb.T) for a, Eb in sources]
+    sources, rows = _pop_stacked(graph, nx, src_nodes, 1)
+    offs = np.cumsum([0] + [n for _, n in sources] + [size_z])
+    if graph.symmetric:
+        targets = cols = None
+        col_blocks = [(b, rows[:, offs[j]:offs[j + 1]].T)
+                      for j, b in enumerate(src_nodes)]
     else:
-        targets = [(a, graph.pop_edge(a, nx))
-                   for a in sorted(graph.col_targets[nx])]
-        col_blocks = targets
+        targets, cols = _pop_stacked(graph, nx, sorted(graph.col_targets[nx]), 0)
+        toffs = np.cumsum([0] + [n for _, n in targets])
+        col_blocks = [(a, cols[toffs[j]:toffs[j + 1]])
+                      for j, (a, _) in enumerate(targets)]
     if graph.row_sources[nz] or graph.col_targets[nz]:
         raise AssertionError("z node unexpectedly has extra edges")
 
-    events.append(Elim(nx, ny, size_x, size_z, lu_piv, sources, targets))
-    graph.eliminated.add(cid)
-
     # Schur complement columns, in one solve: X_b = P^{-1} [E(x,b); 0] for
     # every source b, and the column through the -I edge of the own
-    # multipole node
-    src_nodes = [b for b, _ in sources] + [ny]
-    offs = np.cumsum([0] + [Eb.shape[1] for _, Eb in sources] + [size_z])
-    rhs = np.zeros((size_x + size_z, offs[-1]))
-    for j, (_, Eb) in enumerate(sources):
-        rhs[:size_x, offs[j]:offs[j + 1]] = Eb
+    # multipole node; the solve overwrites its Fortran-ordered scratch
+    rhs = np.zeros((size_x + size_z, offs[-1]), order="F")
+    rhs[:size_x, :offs[-2]] = rows
     rhs[size_x:, offs[-2]:] = -np.eye(size_z)
     X = _pivot_solve(lu_piv, rhs)
+    src_nodes.append(ny)
     xcols = {b: X[:, offs[j]:offs[j + 1]] for j, b in enumerate(src_nodes)}
+
+    events.append(Elim(nx, ny, size_x, size_z, lu_piv, sources, rows,
+                       targets, cols))
+    graph.eliminated.add(cid)
 
     timings["lu_and_triangular_solves"] += time.perf_counter() - t0
 
     # F(a, b) = -E(a, x) X_b[:x] for a target a, and the z rows X_b[z:] for
     # the own multipole node, whose only column edge is -I on z. On a
     # symmetric graph F(b, a) = F(a, b)^T: only b at or after a is formed.
+    # The x rows of X are negated once here, not every product after it
+    # (negation is exact: the fills are the same).
     t0 = time.perf_counter()
+    np.negative(X[:size_x], out=X[:size_x])
     fills: dict[tuple[int, int], np.ndarray] = {}
     all_targets = col_blocks + [(ny, None)]
     for i, (a, Ea) in enumerate(all_targets):
         ca = graph.cluster_of[a]
-        for b in (src_nodes[i:] if targets is None else src_nodes):
+        for b in (src_nodes[i:] if graph.symmetric else src_nodes):
             Xb = xcols[b]
             # a copy: a stored fill must not keep all of X alive
-            F = Xb[size_x:, :].copy() if a == ny else -(Ea @ Xb[:size_x, :])
+            F = Xb[size_x:, :].copy() if a == ny else Ea @ Xb[:size_x, :]
             cb = graph.cluster_of[b]
             both_done = ca in graph.eliminated and cb in graph.eliminated
             if both_done or graph.topology.are_neighbors(ca, cb):
@@ -366,6 +477,22 @@ def _eliminate_cluster(graph, cid, threshold, events, stats, timings):
     timings["matmul_updates"] += time.perf_counter() - t0
 
     redirect_fillin(graph, fills, threshold, stats, timings)
+
+
+def _pop_stacked(graph, node, ends, axis):
+    """Pop the edges of `node` to `ends` and stack them into one new array.
+
+    Axis 1 pops the row edges E(node, b) side by side, axis 0 the column
+    edges E(a, node) on top of each other. Returns ((end, width), ...)
+    and the array; the popped blocks are dropped on return.
+    """
+    blocks = [graph.pop_edge(node, b) if axis == 1 else graph.pop_edge(b, node)
+              for b in ends]
+    parts = tuple((b, blk.shape[axis]) for b, blk in zip(ends, blocks))
+    if not blocks:
+        n = graph.sizes[node]
+        return parts, np.zeros((n, 0) if axis == 1 else (0, n))
+    return parts, np.concatenate(blocks, axis=axis)
 
 
 def _identity_update(basis, weights):

@@ -28,7 +28,8 @@ from .lowrank import left_singular
 from .tree import ClusterTopology, Octree
 
 
-SYMMETRY_RTOL = 1e-12  # leaf self blocks of a kernel marked symmetric
+SYMMETRY_RTOL = 1e-12  # near blocks of a kernel marked symmetric
+SYMMETRY_POINTS = 4    # points per side of the off-diagonal symmetry check
 
 
 def cheb_nodes(n: int) -> np.ndarray:
@@ -115,7 +116,10 @@ def chebyshev_operators(tree: Octree, topology: ClusterTopology, kernel: Kernel,
     lossless orthonormalization.
 
     For a kernel marked symmetric, every leaf self block must equal its
-    transpose to SYMMETRY_RTOL relative (Frobenius norm); otherwise a
+    transpose to SYMMETRY_RTOL relative (Frobenius norm), and so must the
+    first off-diagonal near block each leaf forms, K(P, Q) against
+    K(Q, P)^T on at most SYMMETRY_POINTS points per side (this catches a
+    mislabelled kernel when every leaf holds one point); otherwise a
     ValueError asks for `symmetric=False`.
     """
     if n < 1:
@@ -176,22 +180,31 @@ def chebyshev_operators(tree: Octree, topology: ClusterTopology, kernel: Kernel,
                     coupling[(j, i)] = (reduce_map[j] @ kernel.block(gj, gi)
                                         @ reduce_map[i].T)
 
+    def check_symmetric(S, St, what):
+        if np.linalg.norm(S - St) > SYMMETRY_RTOL * np.linalg.norm(S):
+            raise ValueError(
+                f"kernel {kernel.name!r} is marked symmetric, but {what} is "
+                "not; build it with symmetric=False")
+
     near: dict[tuple[int, int], np.ndarray] = {}
+    k = SYMMETRY_POINTS
     for i in tree.leaves():
         ci = cl[i]
         pi = tree.points[ci.start:ci.stop]
+        pair_checked = False
         for j in topology.neighbors[i]:
             if (i, j) in near:
                 continue
             cj = cl[j]
             pj = tree.points[cj.start:cj.stop]
             S = kernel.block(pi, pj)
-            if j == i and kernel.symmetric and (
-                    np.linalg.norm(S - S.T) > SYMMETRY_RTOL * np.linalg.norm(S)):
-                raise ValueError(
-                    f"kernel {kernel.name!r} is marked symmetric, but the "
-                    f"self block of leaf {i} is not; build it with "
-                    "symmetric=False")
+            if kernel.symmetric and j == i:
+                check_symmetric(S, S.T, f"the self block of leaf {i}")
+            elif kernel.symmetric and not pair_checked:
+                check_symmetric(S[:k * bd, :k * bd],
+                                kernel.block(pj[:k], pi[:k]).T,
+                                f"the near block of leaves {i} and {j}")
+                pair_checked = True
             near[(i, j)] = S
             if j != i:
                 near[(j, i)] = S.T if kernel.symmetric else kernel.block(pj, pi)

@@ -6,7 +6,7 @@ import pytest
 import ifmm.factor
 from ifmm.dense import dense_matrix
 from ifmm.factor import (TIMING_KEYS, Elim, FillinStats,
-                         SingularPivotError, _cluster_unions,
+                         SingularPivotError, _cluster_unions, _ElimStep,
                          _eliminate_cluster, eliminate_level, factorize,
                          forward_sweep, merge_to_parent)
 from ifmm.graph import assemble_extended_graph, h2_dense
@@ -101,6 +101,16 @@ def test_solve_rejects_bad_shapes():
     for shape in [(199,), (1, 200), (200, 2), (200, 2, 1), ()]:
         with pytest.raises(ValueError):
             fct.solve(np.ones(shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_rejects_non_finite_rhs(bad):
+    ops = setup_problem(200)[-1]
+    fct = factorize(assemble_extended_graph(ops), epsilon=1e-4, seed=0)
+    b = np.ones(200)
+    b[17] = bad
+    with pytest.raises(ValueError, match="finite"):
+        fct.solve(b)
 
 
 def test_multiple_rhs_replay_deterministic():
@@ -382,7 +392,7 @@ def test_graph_layout_follows_factorize():
 @pytest.mark.parametrize("kernel", [benchmark_kernel(1e-2), nonsymmetric_kernel()],
                          ids=["benchmark", "nonsymmetric"])
 def test_factorize_leaves_borrowed_operator_blocks_unchanged(kernel):
-    # the graph and the factor borrow the operator blocks: no edge update
+    # the graph borrows the operator blocks: no edge update
     # may write one in place, so the operators are bitwise unchanged and a
     # second graph from them gives the same solve (depth 3: merges run)
     pts, kern, tree, topo, ops = setup_problem(500, leaf_target=3, kernel=kernel)
@@ -680,7 +690,50 @@ def test_symmetric_kernel_factors_one_side(monkeypatch, kernel):
     elims = [ev for ev in fct.events if isinstance(ev, Elim)]
     assert elims
     for ev in elims:
+        # the row edges side by side, one column block per source
+        assert ev.rows.shape == (ev.size_x, sum(n for _, n in ev.sources))
         if symmetric:
-            assert ev.targets is None
+            assert ev.targets is None and ev.cols is None
         else:
-            assert isinstance(ev.targets, list)
+            assert ev.cols.shape == (sum(n for _, n in ev.targets), ev.size_x)
+
+
+@pytest.mark.parametrize("kernel", [benchmark_kernel(1e-2), nonsymmetric_kernel()],
+                         ids=["benchmark", "nonsymmetric"])
+def test_compiled_replay_layout(kernel):
+    # the solve replays the log on one vector: every node owns a segment
+    # of its own, the leaf x segments tile [0, dim) in the permuted point
+    # order, and an elimination's gathers never touch its own x or y rows
+    pts, kern, tree, topo, ops = setup_problem(500, leaf_target=3, kernel=kernel)
+    assert tree.depth == 3
+    fct = factorize(assemble_extended_graph(ops), epsilon=1e-10, seed=0)
+    replay, bd = fct.replay, fct.block_dim
+
+    owner = np.full(replay.size, -1)
+    for node, seg in replay.segments.items():
+        assert np.all(owner[seg] == -1), f"segment of node {node} overlaps"
+        owner[seg] = node
+    for nx, start, stop in fct.leaf_slices:
+        assert replay.segments[nx] == slice(start * bd, stop * bd)
+
+    def rows_of(parts):
+        return np.concatenate([np.arange(replay.size)[replay.segments[n]]
+                               for n, _ in parts] or [np.zeros(0, int)])
+
+    elims = [ev for ev in fct.events if isinstance(ev, Elim)]
+    steps = [st for st in replay.steps if isinstance(st, _ElimStep)]
+    assert len(steps) == len(elims) > 0
+    for ev, st in zip(elims, steps):
+        assert st.xs == replay.segments[ev.nx]
+        assert st.ys == replay.segments[ev.ny]
+        own = np.r_[np.arange(replay.size)[st.xs], np.arange(replay.size)[st.ys]]
+        np.testing.assert_array_equal(st.src, rows_of(ev.sources))
+        np.testing.assert_array_equal(
+            st.tgt, rows_of(ev.sources if ev.targets is None else ev.targets))
+        assert not np.isin(st.src, own).any()
+        assert not np.isin(st.tgt, own).any()
+
+    b = np.random.default_rng(13).standard_normal(len(pts))
+    x = fct.solve(b)
+    x_ref = reference_solution(ops, tree, b)
+    assert np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref) < 1e-9

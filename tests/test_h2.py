@@ -308,3 +308,23 @@ def test_kernel_wrongly_marked_symmetric_raises():
     tree, topo, ops = make_ops(
         pts, Kernel("row-scaled", 1, {}, block, symmetric=False), n=2)
     assert any(not np.allclose(S, S.T) for (i, j), S in ops.near.items() if i == j)
+
+
+def test_kernel_wrongly_marked_symmetric_raises_on_one_point_leaves():
+    # with one point per leaf every self block is 1 x 1 and symmetric; an
+    # off-diagonal near pair still shows the row scaling
+    def block(P, Q):
+        r = np.linalg.norm(P[:, None, :] - Q[None, :, :], axis=-1)
+        return (1.0 + 0.5 * P[:, :1]) / (0.1 + r)
+
+    pts = cell_grid_points(4)
+    tree, _ = build_octree(pts, 1)
+    assert all(cl.stop - cl.start == 1 for cl in
+               (tree.clusters[c] for c in tree.leaves()))
+    topo = compute_topology(tree)
+    with pytest.raises(ValueError, match="symmetric=False"):
+        chebyshev_operators(tree, topo, Kernel("row-scaled", 1, {}, block), n=2)
+    ops = chebyshev_operators(
+        tree, topo, Kernel("row-scaled", 1, {}, block, symmetric=False), n=2)
+    assert any(not np.allclose(S, ops.near[(j, i)].T)
+               for (i, j), S in ops.near.items() if i != j)
