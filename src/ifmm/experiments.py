@@ -123,8 +123,21 @@ def build_factorization(pipe: Pipeline, config: RunConfig
     return fct, extra
 
 
-def _report(config, pipe, fct, timings, errors, iteration=None) -> RunReport:
-    """`fct` is None for runs without an IFMM factor: empty stats, zero times."""
+def _report(config, pipe, fct, extra, t_sub, x_hat, x_true, b, apply_A,
+            iteration=None) -> RunReport:
+    """Errors of `x_hat` against `x_true` and of A x_hat against `b`, with
+    the stage times: `extra` as `build_factorization` gives it, and `t_sub`
+    the solve time. `fct` is None for runs without an IFMM factor: empty
+    stats, zero times."""
+    rel_err = float(np.linalg.norm(x_hat - x_true) / np.linalg.norm(x_true))
+    rel_res = float(np.linalg.norm(apply_A(x_hat) - b) / np.linalg.norm(b))
+    timings = {"initialization": pipe.t_init + extra["t_graph"],
+               "sigma0_estimation": extra["t_sigma0"],
+               "elimination": extra["t_elimination"],
+               "substitution": t_sub,
+               "total": pipe.t_init + extra["t_graph"] + extra["t_sigma0"]
+                        + extra["t_elimination"] + t_sub}
+    errors = {"relative_error": rel_err, "relative_residual": rel_res}
     stats, factor_times = ((fct.stats, fct.timings) if fct is not None
                            else (FactorStats(), dict.fromkeys(TIMING_KEYS, 0.0)))
     rank_stats = {
@@ -173,17 +186,7 @@ def run_direct(config: RunConfig) -> RunReport:
     t0 = time.perf_counter()
     x_hat = fct.solve(b)
     t_sub = time.perf_counter() - t0
-
-    rel_err = float(np.linalg.norm(x_hat - x_true) / np.linalg.norm(x_true))
-    rel_res = float(np.linalg.norm(apply_A(x_hat) - b) / np.linalg.norm(b))
-    timings = {"initialization": pipe.t_init + extra["t_graph"],
-               "sigma0_estimation": extra["t_sigma0"],
-               "elimination": extra["t_elimination"],
-               "substitution": t_sub,
-               "total": pipe.t_init + extra["t_graph"] + extra["t_sigma0"]
-                        + extra["t_elimination"] + t_sub}
-    errors = {"relative_error": rel_err, "relative_residual": rel_res}
-    return _report(config, pipe, fct, timings, errors)
+    return _report(config, pipe, fct, extra, t_sub, x_hat, x_true, b, apply_A)
 
 
 def run_iterative(config: RunConfig) -> RunReport:
@@ -214,20 +217,11 @@ def run_iterative(config: RunConfig) -> RunReport:
                          max_iters=config.max_iters, precond=precond,
                          side=config.precond_side)
     t_sub = time.perf_counter() - t0
-
-    rel_err = float(np.linalg.norm(x_hat - x_true) / np.linalg.norm(x_true))
-    rel_res = float(np.linalg.norm(apply_A(x_hat) - b) / np.linalg.norm(b))
-    timings = {"initialization": pipe.t_init + extra["t_graph"],
-               "sigma0_estimation": extra["t_sigma0"],
-               "elimination": extra["t_elimination"],
-               "substitution": t_sub,
-               "total": pipe.t_init + extra["t_graph"] + extra["t_sigma0"]
-                        + extra["t_elimination"] + t_sub}
-    errors = {"relative_error": rel_err, "relative_residual": rel_res}
     iteration = {"iterations": trace.iterations, "converged": trace.converged,
                  "side": trace.side,
                  "residual_history": [float(r) for r in trace.residual_history]}
-    return _report(config, pipe, fct, timings, errors, iteration)
+    return _report(config, pipe, fct, extra, t_sub, x_hat, x_true, b, apply_A,
+                   iteration)
 
 
 def run_scaling(config: RunConfig, n_values: list[int]) -> list[RunReport]:

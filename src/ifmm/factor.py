@@ -23,22 +23,22 @@ the work: each fill is formed once and mirrored, each cluster takes one
 basis union with V = U, and a rebase rewrites only its y node's rows.
 Non-symmetric kernels take the two-sided path.
 
-The factorization records a replayable event log of two typed records:
-`Elim` (pivot factors and the popped edges of one cluster: its row edges
-as one array, and on the two-sided path its column edges as another) and
-`Merge` (the layout of the children's nodes in their parent's x node).
-On the symmetric path the column edges are the transposes of the rows.
-At the end of `factorize` the log is compiled into a `Replay` on one
-vector: every node owns a fixed segment, the leaf x nodes in the
-permuted point order first, so a right-hand side is copied straight in.
-Going forward, an `Elim` is one pivot solve and one matrix-vector product
-scattered into its targets' segments, and a `Merge` one gather; going
-back, an `Elim` is one gathered product and one pivot solve, and a
-`Merge` one scatter. Pivot solves call LAPACK getrs directly.
-`forward_sweep` (the test oracles' entry, on any prefix of a log) and
-`IFMMFactorization.solve` run the same compiled replay; the solve pulls
-the solution back by substitution, for any number of right-hand sides
-without refactorizing.
+The factorization records its solve plan as it runs, as a `Replay` on
+one vector: every node owns a fixed segment, the leaf x nodes in the
+permuted point order first (so a right-hand side is copied straight in),
+and every other node the next free one at its first step. Each
+elimination appends a step holding its pivot factors and popped edges
+(the row edges as one array, and on the two-sided path the column edges
+as another; on the symmetric path the column edges are the transposes of
+the rows), and each merge a step holding the layout of the children's
+nodes in their parent's x node. Going forward, an elimination is one
+pivot solve and one matrix-vector product scattered into its targets'
+segments, and a merge one gather; going back, an elimination is one
+gathered product and one pivot solve, and a merge one scatter. Pivot
+solves call LAPACK getrs directly. `forward_sweep` (the test oracles'
+entry, on a plan recorded so far) and `IFMMFactorization.solve` run the
+same replay; the solve pulls the solution back by substitution, for any
+number of right-hand sides without refactorizing.
 """
 
 from __future__ import annotations
@@ -105,41 +105,6 @@ TIMING_KEYS = ("lu_and_triangular_solves", "matmul_updates",
                "lowrank_approximations", "operator_transfer")
 
 
-@dataclass(frozen=True, slots=True)
-class Elim:
-    """Elimination of one cluster's (x, z) pair.
-
-    `rows` holds the popped row edges E(x, b) side by side, one column
-    block per (node, size) of `sources`, in that order. `cols` stacks the
-    popped column edges E(a, x), one row block per (node, size) of
-    `targets`. Both are None on a symmetric graph: the column edges are
-    then the transposes of the row edges, E(b, x) = E(x, b)^T.
-    """
-    nx: int
-    ny: int
-    size_x: int
-    size_z: int
-    lu_piv: tuple[np.ndarray, np.ndarray] | None
-    sources: tuple[tuple[int, int], ...]
-    rows: np.ndarray
-    targets: tuple[tuple[int, int], ...] | None
-    cols: np.ndarray | None
-
-
-@dataclass(frozen=True, slots=True)
-class Merge:
-    """Parent x node `px` stacks its children's nodes, as (node, size).
-
-    The parts are the children's y nodes, or their x nodes for children
-    without one (level 1, and the leaves of a depth-1 tree).
-    """
-    px: int
-    parts: list[tuple[int, int]]
-
-
-Event = Elim | Merge
-
-
 class _ElimStep(NamedTuple):
     xs: slice                 # segment of the x node
     ys: slice                 # segment of the y node
@@ -147,7 +112,7 @@ class _ElimStep(NamedTuple):
     src: np.ndarray           # gather index of the sources' segments
     tgt: np.ndarray           # gather index of the targets' segments
     rows: np.ndarray          # E(x, sources)
-    fwd: np.ndarray           # E(targets, x): `cols`, or `rows.T`
+    fwd: np.ndarray           # E(targets, x): its own array, or `rows.T`
 
 
 class _MergeStep(NamedTuple):
@@ -155,22 +120,47 @@ class _MergeStep(NamedTuple):
     parts: np.ndarray         # gather index of the parts' segments
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Replay:
-    """An event log compiled onto one vector.
+    """The solve plan on one vector.
 
-    Every node the log touches owns the fixed segment `segments[node]` of
-    a vector of length `size`. `forward` pushes the right-hand side held
-    in the vector through the events: an `Elim` leaves the right-hand side
-    of its x node at elimination in the x segment and sets its y segment,
-    and a `Merge` gathers its parts into the parent segment. `backward`
-    takes the vector with the solution of the remaining nodes in their
-    segments and substitutes back through the events in reverse, leaving
-    each eliminated x node's solution in its segment.
+    Every node a step touches owns the fixed segment `segments[node]` of a
+    vector of length `size`, given at its first step. `forward` pushes the
+    right-hand side held in the vector through the steps: an elimination
+    leaves the right-hand side of its x node at elimination in the x
+    segment and sets its y segment, and a merge gathers its parts into the
+    parent segment. `backward` takes the vector with the solution of the
+    remaining nodes in their segments and substitutes back through the
+    steps in reverse, leaving each eliminated x node's solution in its
+    segment.
     """
     segments: dict[int, slice]
     size: int
-    steps: list[_ElimStep | _MergeStep]
+    steps: list[_ElimStep | _MergeStep] = field(default_factory=list)
+
+    @classmethod
+    def for_graph(cls, graph: ExtendedGraph) -> Replay:
+        """An empty plan whose leaf x segments tile [0, dim) in the
+        permuted point order."""
+        bd, tree = graph.block_dim, graph.tree
+        return cls({graph.node_x[c]: slice(tree.clusters[c].start * bd,
+                                           tree.clusters[c].stop * bd)
+                    for c in tree.leaves()}, tree.n_points * bd)
+
+    def segment(self, node: int, n: int) -> slice:
+        """The segment of `node`; the next n free entries if it has none."""
+        s = self.segments.get(node)
+        if s is None:
+            s = self.segments[node] = slice(self.size, self.size + n)
+            self.size += n
+        return s
+
+    def gather(self, parts) -> np.ndarray:
+        """Gather index of the segments of `parts`, as (node, size), in order."""
+        return np.concatenate(
+            [np.arange(s.start, s.stop, dtype=np.int32)
+             for s in (self.segment(node, n) for node, n in parts)] or
+            [np.zeros(0, np.int32)])
 
     def forward(self, v: np.ndarray) -> None:
         for st in self.steps:
@@ -198,76 +188,31 @@ class Replay:
             v[xs] = _pivot_solve(lu_piv, r)[:sx]
 
 
-def compile_replay(events: list[Event], leading: dict[int, slice]) -> Replay:
-    """Lay out the nodes of `events` on one vector and compile their replay.
-
-    The nodes of `leading` keep the segments given there; every other node
-    gets the next free segment, in order of first appearance.
-    """
-    segments = dict(leading)
-    size = max((s.stop for s in leading.values()), default=0)
-
-    def segment(node, n):
-        nonlocal size
-        if node not in segments:
-            segments[node] = slice(size, size + n)
-            size += n
-        return segments[node]
-
-    def gather(parts):
-        return np.concatenate(
-            [np.arange(s.start, s.stop, dtype=np.int32)
-             for s in (segment(node, n) for node, n in parts)] or
-            [np.zeros(0, np.int32)])
-
-    steps: list[_ElimStep | _MergeStep] = []
-    for ev in events:
-        if isinstance(ev, Elim):
-            xs, ys = segment(ev.nx, ev.size_x), segment(ev.ny, ev.size_z)
-            src = gather(ev.sources)
-            if ev.cols is None:
-                tgt, fwd = src, ev.rows.T
-            else:
-                tgt, fwd = gather(ev.targets), ev.cols
-            steps.append(_ElimStep(xs, ys, ev.lu_piv, src, tgt, ev.rows, fwd))
-        else:
-            ps = segment(ev.px, sum(n for _, n in ev.parts))
-            steps.append(_MergeStep(ps, gather(ev.parts)))
-    return Replay(segments, size, steps)
-
-
-def forward_sweep(events: list[Event],
+def forward_sweep(replay: Replay,
                   rhs: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-    """Push a right-hand side through the recorded elimination.
+    """Push a right-hand side through the plan recorded so far.
 
-    `rhs` maps every leaf x node to the right-hand side of its rows; every
+    `rhs` maps leaf x nodes to the right-hand side of their rows; every
     other row starts with a zero right-hand side. Returns a map from every
-    node of `rhs` or `events` to its right-hand side after the events:
-    for the remaining nodes, that of the reduced system, and for an
-    eliminated x node, that at its elimination. The arrays are views of
-    one vector; neither `rhs` nor its arrays are modified.
+    node with a segment to its right-hand side after the steps: for the
+    remaining nodes, that of the reduced system, and for an eliminated x
+    node, that at its elimination. The arrays are views of one vector;
+    neither `rhs` nor its arrays are modified.
     """
-    leading, off = {}, 0
-    for node, r in rhs.items():
-        leading[node] = slice(off, off + len(r))
-        off += len(r)
-    replay = compile_replay(events, leading)
     v = np.zeros(replay.size)
     for node, r in rhs.items():
-        v[leading[node]] = r
+        v[replay.segments[node]] = r
     replay.forward(v)
     return {node: v[s] for node, s in replay.segments.items()}
 
 
 @dataclass(eq=False)
 class IFMMFactorization:
-    """Replayable elimination log plus the root's dense factor."""
+    """The solve plan plus the root's dense factor."""
     n_points: int
     block_dim: int
     perm: np.ndarray
-    leaf_slices: list[tuple[int, int, int]]   # (x node, start, stop) point slices
-    events: list[Event]
-    replay: Replay                             # `events` on one vector
+    replay: Replay
     root: int                                  # x node of the top-level system
     top_lu: tuple[np.ndarray, np.ndarray] | None
     epsilon: float
@@ -310,11 +255,12 @@ def _pivot_solve(lu_piv, b):
 
 
 def _lu(P, what):
+    """LU factors of P; a Fortran-ordered P is overwritten by them."""
     if P.shape[0] == 0:
         return None
     with warnings.catch_warnings():  # a singular pivot raises, below
         warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(P, check_finite=False)
+        lu, piv = sla.lu_factor(P, overwrite_a=True, check_finite=False)
     # min and max are finite iff every entry is: no n x n temporary
     d = np.abs(np.diag(lu))
     if not (np.isfinite(lu.min()) and np.isfinite(lu.max())) or d.min() == 0.0:
@@ -335,10 +281,12 @@ def factorize(graph: ExtendedGraph, epsilon: float, seed: int = 0,
     `seed` seeds only that estimate; elimination draws no random numbers,
     so with `sigma0` given the factorization does not depend on `seed`.
 
-    The graph borrows the operator blocks of `graph.ops` without copying
-    them; do not modify those arrays in place while it is in use. The
-    returned factor keeps no operator block: each `Elim` concatenates the
-    edges it records into arrays of its own.
+    The graph is consumed: `factorize` pops every edge, and the top
+    system is factored in place. The graph borrows the operator blocks of
+    `graph.ops` without copying them; do not modify those arrays in place
+    while it is in use. The returned factor keeps no operator block: each
+    elimination step concatenates the edges it records into arrays of its
+    own, and a depth-0 root block, the caller's near block, is copied.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
@@ -354,49 +302,48 @@ def factorize(graph: ExtendedGraph, epsilon: float, seed: int = 0,
         timings["sigma0_estimation"] = time.perf_counter() - t0
     threshold = epsilon * sigma0
 
-    bd = graph.block_dim
-    leaf_slices = [(graph.node_x[c], tree.clusters[c].start, tree.clusters[c].stop)
-                   for c in tree.leaves()]
-
-    events: list[Event] = []
+    replay = Replay.for_graph(graph)
     stats = FactorStats(n_clusters=tree.n_clusters)
 
     for level in range(tree.depth, 0, -1):
         if level >= 2:
             stats.levels.append(
-                eliminate_level(graph, level, threshold, events, timings))
+                eliminate_level(graph, level, threshold, replay, timings))
         t0 = time.perf_counter()
-        merge_to_parent(graph, level, events)
+        merge_to_parent(graph, level, replay)
         timings["operator_transfer"] += time.perf_counter() - t0
 
+    # the root block is factored in place: merge_to_parent made it Fortran-
+    # ordered, except in a depth-0 tree, where it is the caller's near block
     root = graph.node_x[tree.levels[0][0]]
     t0 = time.perf_counter()
-    top_lu = _lu(graph.get_edge(root, root), "top-level system")
+    top = graph.pop_edge(root, root)
+    if tree.depth == 0:
+        top = np.array(top, order="F")
+    top_lu = _lu(top, "top-level system")
     timings["lu_and_triangular_solves"] += time.perf_counter() - t0
 
     stats.peak_edges = graph.peak_edges
     stats.max_basis_rank = max((len(w) for w in graph.sigma_u.values()), default=0)
     stats.max_fill_rank = max((ls.max_rank for ls in stats.levels), default=0)
 
-    replay = compile_replay(events, {nx: slice(start * bd, stop * bd)
-                                     for nx, start, stop in leaf_slices})
     return IFMMFactorization(
-        n_points=tree.n_points, block_dim=bd, perm=tree.perm,
-        leaf_slices=leaf_slices, events=events, replay=replay, root=root,
-        top_lu=top_lu, epsilon=epsilon, sigma0=sigma0, stats=stats,
-        timings=timings)
+        n_points=tree.n_points, block_dim=graph.block_dim, perm=tree.perm,
+        replay=replay, root=root, top_lu=top_lu, epsilon=epsilon,
+        sigma0=sigma0, stats=stats, timings=timings)
 
 
 def eliminate_level(graph: ExtendedGraph, level: int, threshold: float,
-                    events: list[Event], timings: dict) -> FillinStats:
-    """Eliminate the (x, z) pair of every cluster at `level`, Morton order."""
+                    replay: Replay, timings: dict) -> FillinStats:
+    """Eliminate the (x, z) pair of every cluster at `level`, Morton order,
+    appending one step per cluster to `replay`."""
     stats = FillinStats(level)
     for cid in graph.tree.levels[level]:
-        _eliminate_cluster(graph, cid, threshold, events, stats, timings)
+        _eliminate_cluster(graph, cid, threshold, replay, stats, timings)
     return stats
 
 
-def _eliminate_cluster(graph, cid, threshold, events, stats, timings):
+def _eliminate_cluster(graph, cid, threshold, replay, stats, timings):
     nx = graph.node_x[cid]
     nz = graph.node_z[cid]
     ny = graph.node_y[cid]
@@ -412,7 +359,7 @@ def _eliminate_cluster(graph, cid, threshold, events, stats, timings):
     P = np.block([[D, U], [Vt, np.zeros((size_z, size_z))]])
     lu_piv = _lu(P, f"cluster {cid}")
 
-    # the popped edges are stacked into the arrays the event keeps, and
+    # the popped edges are stacked into the arrays the step keeps, and
     # the fill products below read views of them
     src_nodes = sorted(graph.row_sources[nx])
     if graph.symmetric:
@@ -420,15 +367,17 @@ def _eliminate_cluster(graph, cid, threshold, events, stats, timings):
             graph.pop_edge(b, nx)
     sources, rows = _pop_stacked(graph, nx, src_nodes, 1)
     offs = np.cumsum([0] + [n for _, n in sources] + [size_z])
+    xs, ys = replay.segment(nx, size_x), replay.segment(ny, size_z)
+    src = replay.gather(sources)
     if graph.symmetric:
-        targets = cols = None
-        col_blocks = [(b, rows[:, offs[j]:offs[j + 1]].T)
-                      for j, b in enumerate(src_nodes)]
+        targets, cols, tgt = sources, rows.T, src
     else:
         targets, cols = _pop_stacked(graph, nx, sorted(graph.col_targets[nx]), 0)
-        toffs = np.cumsum([0] + [n for _, n in targets])
-        col_blocks = [(a, cols[toffs[j]:toffs[j + 1]])
-                      for j, (a, _) in enumerate(targets)]
+        tgt = replay.gather(targets)
+    toffs = np.cumsum([0] + [n for _, n in targets])
+    col_blocks = [(a, cols[toffs[j]:toffs[j + 1]])
+                  for j, (a, _) in enumerate(targets)]
+    replay.steps.append(_ElimStep(xs, ys, lu_piv, src, tgt, rows, cols))
     if graph.row_sources[nz] or graph.col_targets[nz]:
         raise AssertionError("z node unexpectedly has extra edges")
 
@@ -442,8 +391,6 @@ def _eliminate_cluster(graph, cid, threshold, events, stats, timings):
     src_nodes.append(ny)
     xcols = {b: X[:, offs[j]:offs[j + 1]] for j, b in enumerate(src_nodes)}
 
-    events.append(Elim(nx, ny, size_x, size_z, lu_piv, sources, rows,
-                       targets, cols))
     graph.eliminated.add(cid)
 
     timings["lu_and_triangular_solves"] += time.perf_counter() - t0
@@ -472,7 +419,7 @@ def _eliminate_cluster(graph, cid, threshold, events, stats, timings):
                 graph.add_to_edge(a, b, F)
             else:
                 fills[(ca, cb)] = F
-                if targets is None:
+                if graph.symmetric:
                     fills[(cb, ca)] = F.T
     timings["matmul_updates"] += time.perf_counter() - t0
 
@@ -624,16 +571,18 @@ def redirect_fillin(graph, fills, threshold, stats, timings):
     timings["lowrank_approximations"] += dt
 
 
-def merge_to_parent(graph: ExtendedGraph, level: int,
-                    events: list[Event]) -> None:
-    """Join the nodes of siblings at `level` into their parent's x node.
+def merge_to_parent(graph: ExtendedGraph, level: int, replay: Replay) -> None:
+    """Join the nodes of siblings at `level` into their parent's x node,
+    appending one step per parent to `replay`.
 
     A child joins with its y node, or with its x node if it has none
     (level 1, and the leaves of a depth-1 tree). Every edge of a child
     node moves into the edge of its parent's x node, at the child's
     offset; the other end stays where it is unless it is a child node
     too. Each region of a new parent block receives at most one child
-    block, which is placed, not added.
+    block, which is placed, not added. At level 1 the only new block is
+    the root's self-edge, the top-level system; it is Fortran-ordered, so
+    that LAPACK factors it in place.
     """
     tree = graph.tree
     parent: dict[int, tuple[int, int]] = {}  # child node -> (parent x, offset)
@@ -647,7 +596,8 @@ def merge_to_parent(graph: ExtendedGraph, level: int,
         for cy, s in parts:
             parent[cy] = (px, off)
             off += s
-        events.append(Merge(px, parts))
+        replay.steps.append(_MergeStep(replay.segment(px, graph.sizes[px]),
+                                       replay.gather(parts)))
 
     def place(node):
         return parent.get(node, (node, 0))
@@ -658,6 +608,7 @@ def merge_to_parent(graph: ExtendedGraph, level: int,
         (pt, row), (ps, col) = place(t), place(s)
         tgt = graph.get_edge(pt, ps)
         if tgt is None:
-            tgt = np.zeros((graph.sizes[pt], graph.sizes[ps]))
+            tgt = np.zeros((graph.sizes[pt], graph.sizes[ps]),
+                           order="F" if level == 1 else "C")
             graph.set_edge(pt, ps, tgt)
         tgt[row:row + blk.shape[0], col:col + blk.shape[1]] = blk

@@ -5,11 +5,11 @@ import pytest
 
 import ifmm.factor
 from ifmm.dense import dense_matrix
-from ifmm.factor import (TIMING_KEYS, Elim, FillinStats,
+from ifmm.factor import (TIMING_KEYS, FillinStats, Replay,
                          SingularPivotError, _cluster_unions, _ElimStep,
-                         _eliminate_cluster, eliminate_level, factorize,
-                         forward_sweep, merge_to_parent)
-from ifmm.graph import assemble_extended_graph, h2_dense
+                         _eliminate_cluster, _MergeStep, eliminate_level,
+                         factorize, forward_sweep, merge_to_parent)
+from ifmm.graph import assemble_extended_graph, estimate_sigma0, h2_dense
 from ifmm.h2 import chebyshev_operators, initialize_weights
 from ifmm.kernels import (Kernel, benchmark_kernel, cube_uniform,
                           nonsymmetric_kernel, rpy_kernel)
@@ -143,7 +143,7 @@ def test_fill_classification_matches_brute_force():
     initialize_weights(ops, topo)
     graph = assemble_extended_graph(ops)
 
-    events, timings = [], {k: 0.0 for k in TIMING_KEYS}
+    replay, timings = Replay.for_graph(graph), {k: 0.0 for k in TIMING_KEYS}
     eliminated = set()
     for cid in tree.levels[2][:6]:
         # brute-force prediction: well-separated pairs among the neighbors
@@ -154,7 +154,7 @@ def test_fill_classification_matches_brute_force():
                         and not (j in eliminated and k in eliminated):
                     predicted.add((j, k))
         stats = FillinStats(2)
-        _eliminate_cluster(graph, cid, 1e-13, events, stats, timings)
+        _eliminate_cluster(graph, cid, 1e-13, replay, stats, timings)
         eliminated.add(cid)
         assert stats.compressed_pairs + stats.dropped_pairs == len(predicted)
     # the very first (corner) cluster: all neighbors mutually adjacent
@@ -190,13 +190,13 @@ def live_dense_solve(graph, rhs, removed_nodes=frozenset()):
     return out
 
 
-def assert_reduced_matches_unreduced(base, graph, events, eliminated, b):
-    """The reduced system, with b pushed through `events`, has the live x
+def assert_reduced_matches_unreduced(base, graph, replay, eliminated, b):
+    """The reduced system, with b pushed through `replay`, has the live x
     solution of the unreduced extended system `base`."""
     removed = {n for c in eliminated
                for n in (graph.node_x[c], graph.node_z[c])}
     rhs = {n: r for n, r in node_rhs(base, b).items() if base.kinds[n] == "x"}
-    reduced = live_dense_solve(graph, forward_sweep(events, rhs), removed)
+    reduced = live_dense_solve(graph, forward_sweep(replay, rhs), removed)
     full = live_dense_solve(base, rhs)
     tree = base.tree
     for cid in tree.levels[tree.depth]:
@@ -230,10 +230,10 @@ def test_redirect_preserves_schur_system(kernel):
 
     g = assemble_extended_graph(ops)
     stats = FillinStats(tree.depth)
-    events, timings = [], {k: 0.0 for k in TIMING_KEYS}
-    _eliminate_cluster(g, target, 1e-13, events, stats, timings)
+    replay, timings = Replay.for_graph(g), {k: 0.0 for k in TIMING_KEYS}
+    _eliminate_cluster(g, target, 1e-13, replay, stats, timings)
     assert stats.compressed_pairs > 0
-    assert_reduced_matches_unreduced(base, g, events, {target}, b)
+    assert_reduced_matches_unreduced(base, g, replay, {target}, b)
 
 
 @pytest.mark.parametrize("kernel", [benchmark_kernel(0.2), nonsymmetric_kernel()],
@@ -265,25 +265,22 @@ def test_batched_redirect_matches_dense_over_eliminations(monkeypatch, kernel):
 
     g = assemble_extended_graph(ops)
     stats = FillinStats(tree.depth)
-    timings = {k: 0.0 for k in TIMING_KEYS}
-    all_events = []
+    replay, timings = Replay.for_graph(g), {k: 0.0 for k in TIMING_KEYS}
     for cid in cids:
-        events = []
         rebased.clear()
         widths = {c: len(w) for c, w in g.sigma_u.items()}
         n_ranks = len(stats.ranks)
-        _eliminate_cluster(g, cid, 1e-13, events, stats, timings)
+        _eliminate_cluster(g, cid, 1e-13, replay, stats, timings)
         assert len(rebased) == len(set(rebased))
         # each union records the basis width it adds
         grown = [len(w) - widths[c] for c, w in g.sigma_u.items()
                  if len(w) != widths[c]]
         added = [k for k in stats.ranks[n_ranks:] if k]
         assert sorted(added) == sorted(grown)
-        all_events += events
     assert stats.compressed_pairs > 0
     assert any(mixed)
     assert stats.max_rank > 0
-    assert_reduced_matches_unreduced(base, g, all_events, set(cids), b)
+    assert_reduced_matches_unreduced(base, g, replay, set(cids), b)
 
 
 def test_factorize_calls_traced_names(monkeypatch):
@@ -319,8 +316,8 @@ def test_factorize_calls_traced_names(monkeypatch):
     assert all(calls[name] > 0 for name in names), calls
     assert levels == [(lv, {lv}) for lv in range(tree.depth, 1, -1)]
     # one redirection per eliminated cluster
-    assert calls["redirect_fillin"] == sum(isinstance(ev, Elim)
-                                           for ev in fct.events)
+    assert calls["redirect_fillin"] == sum(type(st) is _ElimStep
+                                           for st in fct.replay.steps)
 
 
 def test_nonsymmetric_lossless_matches_h2_dense_solve():
@@ -372,10 +369,18 @@ def test_cluster_unions_equalize_ranks():
 
 def test_graph_layout_follows_factorize():
     # factorize resizes (rebases) and adds (merges) nodes after the sigma0
-    # estimate has applied the graph; the layout must follow
+    # estimate has applied the graph; the layout must follow. factorize
+    # consumes the graph, so the layout is checked where its first level
+    # is eliminated and merged and edges remain
     pts, kern, tree, topo, ops = setup_problem(500)
     graph = assemble_extended_graph(ops)
-    factorize(graph, epsilon=1e-6, seed=0)
+    sigma0 = estimate_sigma0(graph, seed=0)
+    sizes = list(graph.sizes)
+    replay, timings = Replay.for_graph(graph), {k: 0.0 for k in TIMING_KEYS}
+    eliminate_level(graph, tree.depth, 1e-6 * sigma0, replay, timings)
+    merge_to_parent(graph, tree.depth, replay)
+    assert len(graph.sizes) > len(sizes)
+    assert graph.sizes[:len(sizes)] != sizes
     assert graph.dim == sum(graph.sizes)
     E = graph.dense_matrix()
     assert E.shape == (graph.dim, graph.dim)
@@ -388,35 +393,46 @@ def test_graph_layout_follows_factorize():
         idx = np.concatenate([np.arange(off[t], off[t + 1]) for t in nodes])
         assert np.array_equal(graph.dense_matrix(nodes), E[np.ix_(idx, idx)])
 
+    graph = assemble_extended_graph(ops)
+    factorize(graph, epsilon=1e-6, seed=0)
+    assert graph.num_edges == 0
+
 
 @pytest.mark.parametrize("kernel", [benchmark_kernel(1e-2), nonsymmetric_kernel()],
                          ids=["benchmark", "nonsymmetric"])
 def test_factorize_leaves_borrowed_operator_blocks_unchanged(kernel):
     # the graph borrows the operator blocks: no edge update
     # may write one in place, so the operators are bitwise unchanged and a
-    # second graph from them gives the same solve (depth 3: merges run)
-    pts, kern, tree, topo, ops = setup_problem(500, leaf_target=3, kernel=kernel)
-    assert tree.depth >= 3
+    # second graph from them gives the same solve (depth 3: merges run;
+    # depth 0: the top-level system is the caller's near block)
     names = ("near", "leaf_u", "leaf_v", "coupling", "transfer_u",
              "transfer_vt", "sigma_u", "sigma_v")
-    before = {f: {k: v.copy() for k, v in getattr(ops, f).items()} for f in names}
-    b = np.random.default_rng(15).standard_normal(len(pts))
-    xs = []
-    for _ in range(2):
-        xs.append(factorize(assemble_extended_graph(ops), epsilon=1e-6,
-                            seed=0).solve(b))
-        for f in names:
-            after = getattr(ops, f)
-            assert after.keys() == before[f].keys()
-            assert all(np.array_equal(after[k], v) for k, v in before[f].items()), f
-    assert np.array_equal(xs[0], xs[1])
+    for n_points, leaf_target, depth in [(500, 3, None), (100, 500, 0)]:
+        pts, kern, tree, topo, ops = setup_problem(
+            n_points, leaf_target=leaf_target, depth=depth, kernel=kernel)
+        assert tree.depth >= 3 if depth is None else tree.depth == depth
+        if depth == 0:  # Fortran-ordered, LAPACK could factor it in place
+            ops.near = {k: np.asfortranarray(v) for k, v in ops.near.items()}
+        before = {f: {k: v.copy() for k, v in getattr(ops, f).items()}
+                  for f in names}
+        b = np.random.default_rng(15).standard_normal(len(pts))
+        xs = []
+        for _ in range(2):
+            xs.append(factorize(assemble_extended_graph(ops), epsilon=1e-6,
+                                seed=0).solve(b))
+            for f in names:
+                after = getattr(ops, f)
+                assert after.keys() == before[f].keys()
+                assert all(np.array_equal(after[k], v)
+                           for k, v in before[f].items()), f
+        assert np.array_equal(xs[0], xs[1])
 
 
 def test_no_edges_between_well_separated_x_nodes():
     pts, kern, tree, topo, ops = setup_problem(500, leaf_target=4, d=0.2)
     graph = assemble_extended_graph(ops)
-    events, timings = [], {k: 0.0 for k in TIMING_KEYS}
-    stats = eliminate_level(graph, tree.depth, 1e-4, events, timings)
+    replay, timings = Replay.for_graph(graph), {k: 0.0 for k in TIMING_KEYS}
+    stats = eliminate_level(graph, tree.depth, 1e-4, replay, timings)
     for (t, s) in graph.edges:
         ct, cs = graph.cluster_of[t], graph.cluster_of[s]
         if tree.clusters[ct].level == tree.clusters[cs].level \
@@ -434,14 +450,14 @@ def test_merge_single_child_is_relabeling():
     ops = chebyshev_operators(tree, topo, benchmark_kernel(0.1), 2)
     initialize_weights(ops, topo)
     graph = assemble_extended_graph(ops)
-    events, timings = [], {k: 0.0 for k in TIMING_KEYS}
-    eliminate_level(graph, 3, 1e-12, events, timings)
+    replay, timings = Replay.for_graph(graph), {k: 0.0 for k in TIMING_KEYS}
+    eliminate_level(graph, 3, 1e-12, replay, timings)
     snapshot = {}
     for pid in tree.levels[2]:
         cy = graph.node_y[tree.clusters[pid].children[0]]
         snapshot[pid] = {s: blk.copy() for (t, s), blk in graph.edges.items()
                          if t == cy}
-    merge_to_parent(graph, 3, events)
+    merge_to_parent(graph, 3, replay)
     for pid in tree.levels[2]:
         px = graph.node_x[pid]
         cy = graph.node_y[tree.clusters[pid].children[0]]
@@ -455,15 +471,15 @@ def test_merge_tiling_and_sizes():
     pts, kern, tree, topo, ops = setup_problem(600, leaf_target=4)
     assert tree.depth >= 3
     graph = assemble_extended_graph(ops)
-    events, timings = [], {k: 0.0 for k in TIMING_KEYS}
-    eliminate_level(graph, tree.depth, 1e-12, events, timings)
+    replay, timings = Replay.for_graph(graph), {k: 0.0 for k in TIMING_KEYS}
+    eliminate_level(graph, tree.depth, 1e-12, replay, timings)
     L = tree.depth
     snapshot = {(t, s): blk.copy() for (t, s), blk in graph.edges.items()
                 if graph.kinds[t] == "y" and graph.kinds[s] == "y"
                 and tree.clusters[graph.cluster_of[t]].level == L
                 and tree.clusters[graph.cluster_of[s]].level == L}
     y_sizes = {c: graph.sizes[graph.node_y[c]] for c in tree.levels[L]}
-    merge_to_parent(graph, L, events)
+    merge_to_parent(graph, L, replay)
 
     for pid in tree.levels[L - 1]:
         px = graph.node_x[pid]
@@ -608,25 +624,19 @@ def test_factorize_rejects_bad_sigma0(sigma0):
                          ids=["benchmark", "nonsymmetric"])
 def test_rebased_multipole_rows_have_zero_rhs(monkeypatch, kernel):
     # the solve keeps no record of a rebase: when a cluster's basis widens,
-    # no elimination so far may have written its y node's right-hand side
-    # (ny, targets) or read its solution (sources); a symmetric factor
-    # keeps no targets, whose nodes are then those of the sources
+    # no step so far may have written its y node's right-hand side or read
+    # its solution. Stronger: the node has no segment yet, so its first
+    # step, which fixes its segment, sees its final size
     logs, checked = [], []
     eliminate, rebase = ifmm.factor.eliminate_level, ifmm.factor._apply_rebase
 
-    def level_spy(graph, level, threshold, events, timings):
-        logs.append(events)
-        return eliminate(graph, level, threshold, events, timings)
+    def level_spy(graph, level, threshold, replay, timings):
+        logs.append(replay)
+        return eliminate(graph, level, threshold, replay, timings)
 
     def rebase_spy(graph, c, *args):
         ny = graph.node_y[c]
-        for ev in logs[-1]:
-            if isinstance(ev, Elim):
-                assert ny != ev.ny
-                nodes = {n for n, _ in ev.sources}
-                if ev.targets is not None:
-                    nodes |= {n for n, _ in ev.targets}
-                assert ny not in nodes
+        assert ny not in logs[-1].segments
         checked.append(ny)
         return rebase(graph, c, *args)
 
@@ -644,7 +654,7 @@ def test_rebased_multipole_rows_have_zero_rhs(monkeypatch, kernel):
 def test_symmetric_kernel_factors_one_side(monkeypatch, kernel):
     # a symmetric kernel keeps the graph exactly symmetric through every
     # elimination, rebase and merge: mirrored edges, U = V and one set of
-    # weights per cluster, and Elim records without targets
+    # weights per cluster, and elimination steps that keep one side
     symmetric = kernel.symmetric
     checked, rebased = [], []
     eliminate, rebase = ifmm.factor.eliminate_level, ifmm.factor._apply_rebase
@@ -687,51 +697,61 @@ def test_symmetric_kernel_factors_one_side(monkeypatch, kernel):
     fct = factorize(assemble_extended_graph(ops), epsilon=1e-10, seed=0)
     assert len(checked) == (4 if symmetric else 0)
     assert rebased
-    elims = [ev for ev in fct.events if isinstance(ev, Elim)]
-    assert elims
-    for ev in elims:
+    steps = [st for st in fct.replay.steps if type(st) is _ElimStep]
+    assert steps
+    for st in steps:
         # the row edges side by side, one column block per source
-        assert ev.rows.shape == (ev.size_x, sum(n for _, n in ev.sources))
+        sx = st.xs.stop - st.xs.start
+        assert st.rows.shape == (sx, len(st.src))
         if symmetric:
-            assert ev.targets is None and ev.cols is None
+            # the column edges are the rows, transposed
+            assert st.tgt is st.src and st.fwd.base is st.rows
         else:
-            assert ev.cols.shape == (sum(n for _, n in ev.targets), ev.size_x)
+            assert st.fwd.shape == (len(st.tgt), sx)
 
 
 @pytest.mark.parametrize("kernel", [benchmark_kernel(1e-2), nonsymmetric_kernel()],
                          ids=["benchmark", "nonsymmetric"])
 def test_compiled_replay_layout(kernel):
-    # the solve replays the log on one vector: every node owns a segment
+    # the solve replays the plan on one vector: every node owns a segment
     # of its own, the leaf x segments tile [0, dim) in the permuted point
-    # order, and an elimination's gathers never touch its own x or y rows
+    # order, every gather takes whole segments, each once, and an
+    # elimination's gathers never touch its own x or y rows
     pts, kern, tree, topo, ops = setup_problem(500, leaf_target=3, kernel=kernel)
     assert tree.depth == 3
-    fct = factorize(assemble_extended_graph(ops), epsilon=1e-10, seed=0)
+    graph = assemble_extended_graph(ops)
+    fct = factorize(graph, epsilon=1e-10, seed=0)
     replay, bd = fct.replay, fct.block_dim
 
     owner = np.full(replay.size, -1)
     for node, seg in replay.segments.items():
         assert np.all(owner[seg] == -1), f"segment of node {node} overlaps"
         owner[seg] = node
-    for nx, start, stop in fct.leaf_slices:
-        assert replay.segments[nx] == slice(start * bd, stop * bd)
+    for c in tree.leaves():
+        cl = tree.clusters[c]
+        assert replay.segments[graph.node_x[c]] == slice(cl.start * bd, cl.stop * bd)
 
-    def rows_of(parts):
-        return np.concatenate([np.arange(replay.size)[replay.segments[n]]
-                               for n, _ in parts] or [np.zeros(0, int)])
+    def assert_whole_segments(idx):
+        if len(idx) == 0:
+            return
+        nodes = owner[idx]
+        runs = nodes[np.r_[0, np.flatnonzero(np.diff(nodes)) + 1]]
+        assert len(set(runs)) == len(runs)
+        np.testing.assert_array_equal(idx, np.concatenate(
+            [np.arange(replay.size)[replay.segments[n]] for n in runs]))
 
-    elims = [ev for ev in fct.events if isinstance(ev, Elim)]
-    steps = [st for st in replay.steps if isinstance(st, _ElimStep)]
-    assert len(steps) == len(elims) > 0
-    for ev, st in zip(elims, steps):
-        assert st.xs == replay.segments[ev.nx]
-        assert st.ys == replay.segments[ev.ny]
+    elims = [st for st in replay.steps if type(st) is _ElimStep]
+    merges = [st for st in replay.steps if type(st) is _MergeStep]
+    assert len(elims) > 0 and len(merges) > 0
+    assert len(elims) + len(merges) == len(replay.steps)
+    for st in elims:
         own = np.r_[np.arange(replay.size)[st.xs], np.arange(replay.size)[st.ys]]
-        np.testing.assert_array_equal(st.src, rows_of(ev.sources))
-        np.testing.assert_array_equal(
-            st.tgt, rows_of(ev.sources if ev.targets is None else ev.targets))
-        assert not np.isin(st.src, own).any()
-        assert not np.isin(st.tgt, own).any()
+        for idx in (st.src, st.tgt):
+            assert_whole_segments(idx)
+            assert not np.isin(idx, own).any()
+    for st in merges:
+        assert_whole_segments(st.parts)
+        assert len(st.parts) == st.ps.stop - st.ps.start
 
     b = np.random.default_rng(13).standard_normal(len(pts))
     x = fct.solve(b)
