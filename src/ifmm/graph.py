@@ -16,8 +16,12 @@ with the parent term absent at the top level. Edge counts are tracked
 so elimination-time sparsity can be asserted.
 
 The graph borrows the operator blocks: its initial edges are the arrays
-of `H2Operators` themselves, not copies. This is sound because no edge
-block is ever written in place. Every update stores a new array, and
+of `H2Operators` themselves, not copies. The near and coupling blocks
+among them are views into shared storage, the operators' per-leaf near
+rows and per-level coupling stacks, so one edge's memory neighbors
+another's. This is sound because `initialize_weights` writes that
+storage in place only before the graph is assembled, and no edge block
+is written in place afterwards. Every update stores a new array, and
 `merge_to_parent` places each moved block into a parent block it has
 just created, without accumulating.
 

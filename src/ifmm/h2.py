@@ -15,6 +15,14 @@ field), tied to the unknowns by the interpolation edges and -I couplings.
 For a symmetric kernel the edge pattern (and the assembled matrix) is
 symmetric, and each pair's transposed block is shared; a kernel marked
 non-symmetric has both blocks of every pair evaluated.
+
+The near and coupling blocks are stored once, in the layout the fast
+matvec applies: per leaf one `NearRow` holding its near blocks side by
+side, and per level one `LevelCouplings` with one stack per block shape.
+The `near` and `coupling` dicts hold views into that storage, so the
+graph that borrows them and `h2_matvec` read the same memory; a symmetric
+pair's reverse block is the transposed view. `initialize_weights` rotates
+the couplings in place.
 """
 
 from __future__ import annotations
@@ -80,6 +88,119 @@ def _kron_bd(M: np.ndarray, bd: int) -> np.ndarray:
 
 
 @dataclass
+class NearRow:
+    """One leaf's near blocks side by side in one array.
+
+    `block` maps the entries `cols` (tree order) to the leaf's entries
+    `rows`; each neighbor's block is a run of columns, in neighbor order.
+    For a symmetric kernel the row holds only the neighbors at or after the
+    leaf in tree order, its self block first, and the columns from
+    `mirrored` on also act transposed: they stand in for the blocks of the
+    later leaves' rows. Otherwise `mirrored` is the column count.
+    """
+    rows: slice
+    cols: np.ndarray
+    block: np.ndarray
+    mirrored: int
+
+    def apply(self, x: np.ndarray, out: np.ndarray) -> None:
+        """out += the row's blocks, and their mirrors, times x (tree order)."""
+        out[self.rows] += self.block @ x[self.cols]
+        if self.mirrored < len(self.cols):
+            out[self.cols[self.mirrored:]] += (
+                self.block[:, self.mirrored:].T @ x[self.rows])
+
+
+@dataclass
+class CouplingGroup:
+    """The coupling blocks of one level that share a shape, in one stack.
+
+    Block p of `pairs[p] = (i, j)` maps the multipole coefficients of j to
+    the local coefficients of i; `tgt` and `src` give i's and j's
+    positions in the level. `slots` places each product in the level's
+    target-sorted product list, and `mirror_slots` the mirrored one.
+    """
+    pairs: list[tuple[int, int]]
+    blocks: np.ndarray
+    tgt: np.ndarray
+    src: np.ndarray
+    slots: np.ndarray
+    mirror_slots: np.ndarray
+
+
+@dataclass
+class LevelCouplings:
+    """One level's coupling blocks, one stack per block shape.
+
+    For a symmetric kernel each pair is stored once, with its target
+    before its source in tree order, and the block of the reverse pair is
+    the transposed view; its product is the mirrored one. The level's
+    products, sorted by target, open each target's segment at `starts`;
+    `hit` names those targets.
+    """
+    clusters: list[int]
+    kmax: int
+    groups: list[CouplingGroup]
+    mirrored: bool
+    products: int
+    starts: np.ndarray
+    hit: np.ndarray
+
+    @classmethod
+    def empty(cls, clusters: list[int], pairs: list[tuple[int, int]],
+              rank: dict[int, int], mirrored: bool) -> LevelCouplings:
+        pos = {c: p for p, c in enumerate(clusters)}
+        tgt = np.array([pos[i] for i, _ in pairs], dtype=np.intp)
+        src = np.array([pos[j] for _, j in pairs], dtype=np.intp)
+        targets = np.concatenate([tgt, src]) if mirrored else tgt
+        order = np.argsort(targets, kind="stable")
+        slot = np.empty_like(order)
+        slot[order] = np.arange(len(order))
+        hit, starts = np.unique(targets[order], return_index=True)
+        members: dict[tuple[int, int], list[int]] = {}
+        for p, (i, j) in enumerate(pairs):
+            members.setdefault((rank[i], rank[j]), []).append(p)
+        groups = [CouplingGroup([pairs[p] for p in ps],
+                                np.zeros((len(ps),) + shape),
+                                tgt[ps], src[ps], slot[ps],
+                                slot[len(pairs) + np.array(ps)] if mirrored
+                                else np.zeros(0, dtype=np.intp))
+                  for shape, ps in members.items()]
+        return cls(clusters, max(rank[c] for c in clusters), groups, mirrored,
+                   len(targets), starts, hit)
+
+    def blocks(self):
+        """Every stored pair (i, j) with its block, a view of the stack."""
+        for g in self.groups:
+            yield from zip(g.pairs, g.blocks)
+
+    def views(self):
+        """(i, j) and its block for every pair, mirrors included."""
+        for (i, j), K in self.blocks():
+            yield (i, j), K
+            if self.mirrored:
+                yield (j, i), K.T
+
+    def apply(self, Y: np.ndarray) -> np.ndarray:
+        """Local coefficients Z[t] = sum over pairs (t, s) of K(t, s) @ Y[s].
+
+        Y and Z are (clusters, kmax, m), zero past each cluster's rank.
+        """
+        Z = np.zeros_like(Y)
+        if not self.groups:
+            return Z
+        prod = np.zeros((self.products,) + Y.shape[1:])
+        for g in self.groups:
+            kt, ks = g.blocks.shape[1:]
+            prod[g.slots, :kt] = g.blocks @ Y[g.src, :ks]
+            if self.mirrored:
+                prod[g.mirror_slots, :ks] = (g.blocks.transpose(0, 2, 1)
+                                             @ Y[g.tgt, :kt])
+        Z[self.hit] = np.add.reduceat(prod, self.starts)
+        return Z
+
+
+@dataclass
 class H2Operators:
     tree: Octree
     topology: ClusterTopology
@@ -92,6 +213,8 @@ class H2Operators:
     transfer_vt: dict[int, np.ndarray]         # child -> (k_parent, k_child)
     coupling: dict[tuple[int, int], np.ndarray]  # (i, j) -> K block, j in I_i
     near: dict[tuple[int, int], np.ndarray]    # leaf pairs -> dense block
+    near_rows: list[NearRow]                   # per leaf, tree order
+    coupling_levels: list[LevelCouplings]      # levels 2..depth
     sigma_u: dict[int, np.ndarray] = field(default_factory=dict)
     sigma_v: dict[int, np.ndarray] = field(default_factory=dict)
 
@@ -132,7 +255,8 @@ def chebyshev_operators(tree: Octree, topology: ClusterTopology, kernel: Kernel,
     leaf_u: dict[int, np.ndarray] = {}
     transfer_u: dict[int, np.ndarray] = {}
     reduce_map: dict[int, np.ndarray] = {}  # cluster -> grid coeffs -> reduced rank
-    grids: dict[int, np.ndarray] = {}
+    grids = {c: _grid(cl[c].center, cl[c].half_width, n)
+             for level in tree.levels[2:] for c in level}
 
     def _reduce(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         W, s, Zt = np.linalg.svd(M, full_matrices=False)
@@ -152,9 +276,7 @@ def chebyshev_operators(tree: Octree, topology: ClusterTopology, kernel: Kernel,
             p = cl[pid]
             blocks = []
             for c in p.children:
-                child_grid = grids.setdefault(
-                    c, _grid(cl[c].center, cl[c].half_width, n))
-                T = _interp_matrix(child_grid, p.center, p.half_width, n)
+                T = _interp_matrix(grids[c], p.center, p.half_width, n)
                 blocks.append(reduce_map[c] @ _kron_bd(T, bd))
             basis, G = _reduce(np.vstack(blocks))
             reduce_map[pid] = G
@@ -164,21 +286,16 @@ def chebyshev_operators(tree: Octree, topology: ClusterTopology, kernel: Kernel,
                 transfer_u[c] = basis[row:row + rank[c]]
                 row += rank[c]
 
-    coupling: dict[tuple[int, int], np.ndarray] = {}
+    coupling_levels: list[LevelCouplings] = []
     for level in range(2, tree.depth + 1):
-        for i in tree.levels[level]:
-            gi = grids.setdefault(i, _grid(cl[i].center, cl[i].half_width, n))
-            for j in topology.interactions[i]:
-                if (i, j) in coupling:
-                    continue
-                gj = grids.setdefault(j, _grid(cl[j].center, cl[j].half_width, n))
-                Kij = reduce_map[i] @ kernel.block(gi, gj) @ reduce_map[j].T
-                coupling[(i, j)] = Kij
-                if kernel.symmetric:
-                    coupling[(j, i)] = Kij.T
-                else:
-                    coupling[(j, i)] = (reduce_map[j] @ kernel.block(gj, gi)
-                                        @ reduce_map[i].T)
+        ids = tree.levels[level]
+        pairs = [(i, j) for i in ids for j in topology.interactions[i]
+                 if not (kernel.symmetric and j < i)]
+        lev = LevelCouplings.empty(ids, pairs, rank, kernel.symmetric)
+        for (i, j), K in lev.blocks():
+            K[...] = reduce_map[i] @ kernel.block(grids[i], grids[j]) @ reduce_map[j].T
+        coupling_levels.append(lev)
+    coupling = {key: K for lev in coupling_levels for key, K in lev.views()}
 
     def check_symmetric(S, St, what):
         if np.linalg.norm(S - St) > SYMMETRY_RTOL * np.linalg.norm(S):
@@ -186,33 +303,43 @@ def chebyshev_operators(tree: Octree, topology: ClusterTopology, kernel: Kernel,
                 f"kernel {kernel.name!r} is marked symmetric, but {what} is "
                 "not; build it with symmetric=False")
 
+    near_rows: list[NearRow] = []
     near: dict[tuple[int, int], np.ndarray] = {}
     k = SYMMETRY_POINTS
     for i in tree.leaves():
         ci = cl[i]
         pi = tree.points[ci.start:ci.stop]
-        pair_checked = False
-        for j in topology.neighbors[i]:
-            if (i, j) in near:
-                continue
-            cj = cl[j]
-            pj = tree.points[cj.start:cj.stop]
-            S = kernel.block(pi, pj)
-            if kernel.symmetric and j == i:
-                check_symmetric(S, S.T, f"the self block of leaf {i}")
-            elif kernel.symmetric and not pair_checked:
-                check_symmetric(S[:k * bd, :k * bd],
+        row_leaves = [j for j in topology.neighbors[i]
+                      if j >= i or not kernel.symmetric]
+        S = kernel.block(pi, np.concatenate(
+            [tree.points[cl[j].start:cl[j].stop] for j in row_leaves]))
+        a = 0
+        for j in row_leaves:
+            w = cl[j].size * bd
+            near[(i, j)] = S[:, a:a + w]
+            if kernel.symmetric and j != i:
+                near[(j, i)] = near[(i, j)].T
+            a += w
+        if kernel.symmetric:
+            check_symmetric(near[(i, i)], near[(i, i)].T,
+                            f"the self block of leaf {i}")
+            if len(row_leaves) > 1:
+                j = row_leaves[1]
+                pj = tree.points[cl[j].start:cl[j].stop]
+                check_symmetric(near[(i, j)][:k * bd, :k * bd],
                                 kernel.block(pj[:k], pi[:k]).T,
                                 f"the near block of leaves {i} and {j}")
-                pair_checked = True
-            near[(i, j)] = S
-            if j != i:
-                near[(j, i)] = S.T if kernel.symmetric else kernel.block(pj, pi)
+        near_rows.append(NearRow(
+            slice(ci.start * bd, ci.stop * bd),
+            np.concatenate([np.arange(cl[j].start * bd, cl[j].stop * bd)
+                            for j in row_leaves]), S,
+            ci.size * bd if kernel.symmetric else S.shape[1]))
 
     leaf_v = {cid: U.copy() for cid, U in leaf_u.items()}
     transfer_vt = {cid: T.T.copy() for cid, T in transfer_u.items()}
     return H2Operators(tree, topology, kernel, n, rank, leaf_u, leaf_v,
-                       transfer_u, transfer_vt, coupling, near)
+                       transfer_u, transfer_vt, coupling, near, near_rows,
+                       coupling_levels)
 
 
 def initialize_weights(ops: H2Operators, topology: ClusterTopology) -> H2Operators:
@@ -222,8 +349,14 @@ def initialize_weights(ops: H2Operators, topology: ClusterTopology) -> H2Operato
     (incoming) couplings over the interaction list rotates U (V), so the
     stored weights are exactly the per-column singular values. Clusters
     with an empty interaction list get unit weights.
+
+    The couplings are read from `ops.coupling`, so a caller may replace
+    its entries first; each rotated block is written once into the
+    level stacks, and the dict is rebuilt as views of them.
     """
     tree = ops.tree
+    rot_u: dict[int, np.ndarray] = {}
+    rot_v: dict[int, np.ndarray] = {}
     for level in range(2, tree.depth + 1):
         for j in tree.levels[level]:
             k = ops.rank[j]
@@ -231,6 +364,7 @@ def initialize_weights(ops: H2Operators, topology: ClusterTopology) -> H2Operato
             if not ilist:
                 ops.sigma_u[j] = np.ones(k)
                 ops.sigma_v[j] = np.ones(k)
+                rot_u[j] = rot_v[j] = np.eye(k)
                 continue
             P, su = left_singular(np.hstack([ops.coupling[(j, q)] for q in ilist]))
             ops.sigma_u[j] = _pad_weights(su, k)
@@ -243,8 +377,21 @@ def initialize_weights(ops: H2Operators, topology: ClusterTopology) -> H2Operato
                 Q, sv = left_singular(
                     np.hstack([ops.coupling[(q, j)].T for q in ilist]))
                 ops.sigma_v[j] = _pad_weights(sv, k)
-            _rotate_u(ops, topology, j, P)
-            _rotate_v(ops, topology, j, Q)
+            rot_u[j], rot_v[j] = P, Q
+
+    # every rotation is computed before the first block is overwritten
+    for lev in ops.coupling_levels:
+        for (i, j), K in lev.blocks():
+            K[...] = rot_u[i].T @ ops.coupling[(i, j)] @ rot_v[j]
+    ops.coupling = {key: K for lev in ops.coupling_levels for key, K in lev.views()}
+    if tree.depth >= 2:
+        for cid in tree.leaves():
+            ops.leaf_u[cid] = ops.leaf_u[cid] @ rot_u[cid]
+            ops.leaf_v[cid] = ops.leaf_v[cid] @ rot_v[cid]
+    for c, T in ops.transfer_u.items():
+        p = tree.clusters[c].parent
+        ops.transfer_u[c] = rot_u[c].T @ (T @ rot_u[p])
+        ops.transfer_vt[c] = (rot_v[p].T @ ops.transfer_vt[c]) @ rot_v[c]
     return ops
 
 
@@ -254,31 +401,3 @@ def _pad_weights(s: np.ndarray, k: int) -> np.ndarray:
     w = np.concatenate([s[:k], np.full(max(0, k - len(s)), s[min(len(s), k) - 1])])
     scale = w[0] if w[0] > 0 else 1.0
     return np.maximum(w, 1e-14 * scale)
-
-
-def _rotate_u(ops, topology, j, P):
-    """Rotate the z-space of cluster j: U <- U P, row of y_j <- P^T row."""
-    tree = ops.tree
-    if tree.clusters[j].is_leaf:
-        ops.leaf_u[j] = ops.leaf_u[j] @ P
-    else:
-        for c in tree.clusters[j].children:
-            ops.transfer_u[c] = ops.transfer_u[c] @ P
-    for q in topology.interactions[j]:
-        ops.coupling[(j, q)] = P.T @ ops.coupling[(j, q)]
-    if j in ops.transfer_u:
-        ops.transfer_u[j] = P.T @ ops.transfer_u[j]
-
-
-def _rotate_v(ops, topology, j, Q):
-    """Rotate the y-space of cluster j: V <- V Q, consumers pick up Q."""
-    tree = ops.tree
-    if tree.clusters[j].is_leaf:
-        ops.leaf_v[j] = ops.leaf_v[j] @ Q
-    else:
-        for c in tree.clusters[j].children:
-            ops.transfer_vt[c] = Q.T @ ops.transfer_vt[c]
-    for q in topology.interactions[j]:
-        ops.coupling[(q, j)] = ops.coupling[(q, j)] @ Q
-    if j in ops.transfer_vt:
-        ops.transfer_vt[j] = ops.transfer_vt[j] @ Q

@@ -6,8 +6,9 @@ relative residual for right (or no) preconditioning, the preconditioned
 residual for left preconditioning.
 
 Also provides the fast hierarchical matvec over H2Operators (the same
-operators the factorization consumes) and a block-diagonal
-preconditioner built from dense diagonal sub-blocks.
+operators the factorization consumes), applied through their compiled
+layout: per-leaf near rows and per-level coupling stacks. And a
+block-diagonal preconditioner built from dense diagonal sub-blocks.
 """
 
 from __future__ import annotations
@@ -121,46 +122,56 @@ def gmres(apply_A: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
 
 
 def h2_matvec(ops: H2Operators, x: np.ndarray) -> np.ndarray:
-    """Fast matvec: upward pass, couplings, downward pass, near field."""
+    """Fast matvec on a (dim,) vector or a (dim, m) block, in one pass.
+
+    Per leaf one product with its near row (and, for a symmetric kernel,
+    one with the row's mirrored part) and one with each basis; per level
+    one batched product per coupling stack and one segment sum; one
+    transfer per child between levels. Any other shape raises ValueError.
+    """
     tree = ops.tree
-    bd = ops.block_dim
-    if len(x) != tree.n_points * bd:
-        raise ValueError("vector length mismatch")
-    xt = np.asarray(x, dtype=float).reshape(tree.n_points, bd)[tree.perm].ravel()
-
-    y: dict[int, np.ndarray] = {}
-    for cid in tree.leaves():
-        c = tree.clusters[cid]
-        y[cid] = ops.leaf_v[cid].T @ xt[c.start * bd:c.stop * bd]
-    for level in range(tree.depth - 1, 1, -1):
-        for pid in tree.levels[level]:
-            y[pid] = sum(ops.transfer_vt[c] @ y[c]
-                         for c in tree.clusters[pid].children)
-
-    z: dict[int, np.ndarray] = {}
-    for level in range(2, tree.depth + 1):
-        for cid in tree.levels[level]:
-            acc = np.zeros(ops.rank[cid])
-            for q in ops.topology.interactions[cid]:
-                acc += ops.coupling[(cid, q)] @ y[q]
-            if level > 2:
-                acc += ops.transfer_u[cid] @ z[tree.clusters[cid].parent]
-            z[cid] = acc
+    bd, dim = ops.block_dim, ops.dim
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[0] != dim:
+        raise ValueError(f"expected shape ({dim},) or ({dim}, m), got {x.shape}")
+    m = x.shape[1] if x.ndim == 2 else 1
+    xt = x.reshape(tree.n_points, bd, m)[tree.perm].reshape(dim, m)
 
     out = np.zeros_like(xt)
-    for cid in tree.leaves():
-        c = tree.clusters[cid]
-        seg = np.zeros((c.stop - c.start) * bd)
-        for q in ops.topology.neighbors[cid]:
-            cq = tree.clusters[q]
-            seg += ops.near[(cid, q)] @ xt[cq.start * bd:cq.stop * bd]
-        if tree.depth >= 2:
-            seg += ops.leaf_u[cid] @ z[cid]
-        out[c.start * bd:c.stop * bd] = seg
+    for row in ops.near_rows:
+        row.apply(xt, out)
+    if tree.depth >= 2:
+        _far_field(ops, xt, out)
 
-    res = np.empty_like(out).reshape(tree.n_points, bd)
-    res[tree.perm] = out.reshape(tree.n_points, bd)
-    return res.ravel()
+    res = np.empty_like(out).reshape(tree.n_points, bd, m)
+    res[tree.perm] = out.reshape(tree.n_points, bd, m)
+    return res.reshape(x.shape)
+
+
+def _far_field(ops: H2Operators, xt: np.ndarray, out: np.ndarray) -> None:
+    """out += U K V^T xt over every level: upward pass, couplings, downward."""
+    tree, bd, rank = ops.tree, ops.block_dim, ops.rank
+    cl = tree.clusters
+    y: dict[int, np.ndarray] = {}
+    for cid in tree.leaves():
+        y[cid] = ops.leaf_v[cid].T @ xt[cl[cid].start * bd:cl[cid].stop * bd]
+    for level in range(tree.depth - 1, 1, -1):
+        for pid in tree.levels[level]:
+            y[pid] = sum(ops.transfer_vt[c] @ y[c] for c in cl[pid].children)
+
+    z: dict[int, np.ndarray] = {}
+    for lev in ops.coupling_levels:
+        Y = np.zeros((len(lev.clusters), lev.kmax, xt.shape[1]))
+        for p, cid in enumerate(lev.clusters):
+            Y[p, :rank[cid]] = y[cid]
+        Z = lev.apply(Y)
+        for p, cid in enumerate(lev.clusters):
+            z[cid] = Z[p, :rank[cid]]
+            if cid in ops.transfer_u:   # below level 2: the parent's far field
+                z[cid] += ops.transfer_u[cid] @ z[cl[cid].parent]
+
+    for cid in tree.leaves():
+        out[cl[cid].start * bd:cl[cid].stop * bd] += ops.leaf_u[cid] @ z[cid]
 
 
 def block_diag_preconditioner(A: np.ndarray, block_size: int):

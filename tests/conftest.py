@@ -49,6 +49,13 @@ def cell_grid_points(cells_per_axis: int, occupied=None) -> np.ndarray:
 UNIT_BOX = (np.array([0.5, 0.5, 0.5]), 0.5)
 
 
+def memory_owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns the memory `a` views."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
 def node_rhs(graph, b: np.ndarray) -> dict:
     """Right-hand side of each node of a freshly assembled graph.
 

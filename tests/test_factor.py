@@ -15,7 +15,7 @@ from ifmm.kernels import (Kernel, benchmark_kernel, cube_uniform,
                           nonsymmetric_kernel, rpy_kernel)
 from ifmm.tree import build_octree, compute_topology
 
-from conftest import UNIT_BOX, cell_grid_points, node_rhs
+from conftest import UNIT_BOX, cell_grid_points, memory_owner, node_rhs
 
 
 def setup_problem(n_points=400, seed=5, d=1e-2, n=2, leaf_target=12,
@@ -398,13 +398,38 @@ def test_graph_layout_follows_factorize():
     assert graph.num_edges == 0
 
 
+def reachable_arrays(root) -> list[np.ndarray]:
+    """Every numpy array reachable from `root` through containers and
+    object attributes."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or obj is None or isinstance(
+                obj, (str, bytes, int, float, type)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+        elif hasattr(obj, "__slots__"):
+            stack.extend(getattr(obj, s) for s in obj.__slots__ if hasattr(obj, s))
+    return found
+
+
 @pytest.mark.parametrize("kernel", [benchmark_kernel(1e-2), nonsymmetric_kernel()],
                          ids=["benchmark", "nonsymmetric"])
 def test_factorize_leaves_borrowed_operator_blocks_unchanged(kernel):
     # the graph borrows the operator blocks: no edge update
     # may write one in place, so the operators are bitwise unchanged and a
     # second graph from them gives the same solve (depth 3: merges run;
-    # depth 0: the top-level system is the caller's near block)
+    # depth 0: the top-level system is the caller's near block). The
+    # factor keeps none of them, nor any view into the shared near rows
+    # and coupling stacks, which would keep a whole stack alive.
     names = ("near", "leaf_u", "leaf_v", "coupling", "transfer_u",
              "transfer_vt", "sigma_u", "sigma_v")
     for n_points, leaf_target, depth in [(500, 3, None), (100, 500, 0)]:
@@ -416,10 +441,14 @@ def test_factorize_leaves_borrowed_operator_blocks_unchanged(kernel):
         before = {f: {k: v.copy() for k, v in getattr(ops, f).items()}
                   for f in names}
         b = np.random.default_rng(15).standard_normal(len(pts))
+        operator_owners = {id(memory_owner(a)) for a in reachable_arrays(
+            [getattr(ops, f) for f in names] + [ops.near_rows, ops.coupling_levels])}
         xs = []
         for _ in range(2):
-            xs.append(factorize(assemble_extended_graph(ops), epsilon=1e-6,
-                                seed=0).solve(b))
+            fct = factorize(assemble_extended_graph(ops), epsilon=1e-6, seed=0)
+            assert not any(id(memory_owner(a)) in operator_owners
+                           for a in reachable_arrays(fct))
+            xs.append(fct.solve(b))
             for f in names:
                 after = getattr(ops, f)
                 assert after.keys() == before[f].keys()

@@ -7,7 +7,7 @@ from ifmm.h2 import chebyshev_operators, initialize_weights
 from ifmm.kernels import Kernel, benchmark_kernel, cube_uniform, nonsymmetric_kernel
 from ifmm.tree import build_octree, compute_topology
 
-from conftest import UNIT_BOX, cell_grid_points, node_rhs
+from conftest import UNIT_BOX, cell_grid_points, memory_owner, node_rhs
 
 
 def make_ops(points, kernel, n, leaf_target=10, epsilon=0.0, depth=None):
@@ -109,6 +109,32 @@ def test_weights_single_interaction_rank_one():
                         compute_uv=False)
     assert ops.sigma_u[cid][0] == pytest.approx(sigma)
     assert ops.sigma_u[cid][0] == pytest.approx(ref[0])
+
+
+@pytest.mark.parametrize("kern", [benchmark_kernel(1e-2), nonsymmetric_kernel()],
+                         ids=["symmetric", "nonsymmetric"])
+def test_blocks_are_views_of_compiled_storage(kern):
+    # every near and coupling block lives in its leaf row or level stack,
+    # once per unordered pair for a symmetric kernel: a mirror is the
+    # transposed view of the same memory
+    pts = cube_uniform(1000, seed=4).points
+    tree, topo, ops = make_ops(pts, kern, n=2, leaf_target=4)
+    assert tree.depth == 3
+    coupling_stacks = [g.blocks for lev in ops.coupling_levels for g in lev.groups]
+    for blocks, storage in ((ops.near, [r.block for r in ops.near_rows]),
+                            (ops.coupling, coupling_stacks)):
+        assert blocks
+        assert all(memory_owner(s) is s for s in storage)
+        owners = {id(s) for s in storage}
+        assert all(id(memory_owner(B)) in owners for B in blocks.values())
+        stored = [B for (i, j), B in blocks.items() if i <= j or not kern.symmetric]
+        starts = {B.__array_interface__["data"][0] for B in blocks.values()}
+        assert len(starts) == len(stored)
+        assert sum(s.nbytes for s in storage) == sum(B.nbytes for B in stored)
+        if kern.symmetric:
+            for (i, j), B in blocks.items():
+                assert np.shares_memory(B, blocks[(j, i)])
+                assert np.array_equal(B, blocks[(j, i)].T)
 
 
 def test_weights_empty_interaction_list_unit():

@@ -140,6 +140,43 @@ def test_h2_matvec_zero():
     assert np.array_equal(h2_matvec(ops, np.zeros(200)), np.zeros(200))
 
 
+@pytest.mark.parametrize("pts,kern,leaf_target,depth", [
+    (cube_uniform(800, seed=3).points, benchmark_kernel(1e-2), 20, 2),
+    # unequal leaves: ranks below n^3 pad the coupling stacks
+    (cube_uniform(1200, seed=4).points, benchmark_kernel(1e-2), 4, 3),
+    (cube_uniform(1000, seed=5).points, nonsymmetric_kernel(), 4, 3),
+    (sphere_lattice(2, 2, 2, 1, 4.0, 1.0).points, rpy_kernel(0.25), 20, 2),
+    (cube_uniform(100, seed=6).points, benchmark_kernel(1e-2), 20, 0),
+], ids=["benchmark-d2", "benchmark-d3", "nonsymmetric-d3", "rpy-d2", "single-leaf"])
+def test_h2_matvec_applies_h2_dense_exactly(pts, kern, leaf_target, depth):
+    # the compiled apply represents the same matrix as the operator dicts,
+    # to rounding, on vectors and on (dim, m) blocks
+    tree, ops = make_ops(pts, kern, n=2, leaf_target=leaf_target, depth=depth)
+    assert bool(ops.coupling) == (depth >= 2)
+    bd, n = kern.block_dim, len(pts)
+    A = h2_dense(ops)
+    X = np.random.default_rng(7).standard_normal((n * bd, 3))
+    Xt = X.reshape(n, bd, 3)[tree.perm].reshape(n * bd, 3)
+    ref = np.empty_like(X).reshape(n, bd, 3)
+    ref[tree.perm] = (A @ Xt).reshape(n, bd, 3)
+    ref = ref.reshape(n * bd, 3)
+    Y = h2_matvec(ops, X)
+    assert Y.shape == X.shape
+    assert np.linalg.norm(Y - ref) <= 1e-13 * np.linalg.norm(ref)
+    for j in range(3):
+        y = h2_matvec(ops, X[:, j])
+        assert y.shape == (n * bd,)
+        assert np.linalg.norm(y - Y[:, j]) <= 1e-13 * np.linalg.norm(ref[:, j])
+
+
+def test_h2_matvec_rejects_bad_shapes():
+    pts = cube_uniform(200, seed=1).points
+    tree, ops = make_ops(pts, benchmark_kernel(1e-2), n=2)
+    for shape in [(199,), (200, 2, 1), (2, 200), ()]:
+        with pytest.raises(ValueError, match=r"expected shape \(200,\) or \(200, m\)"):
+            h2_matvec(ops, np.zeros(shape))
+
+
 def test_h2_matvec_error_below_construction_error():
     pts = cube_uniform(1500, seed=2).points
     kern = benchmark_kernel(1e-2)
