@@ -19,8 +19,9 @@ top-level system.
 
 For a symmetric kernel (`Kernel.symmetric`) the graph stays exactly
 symmetric (see `ifmm.graph`) and elimination does the symmetric half of
-the work: each fill is formed once and mirrored, each cluster takes one
-basis union with V = U, and a rebase rewrites only its y node's rows.
+the work: each fill is formed, recorded and screened once (adding it
+stores its mirror), each cluster takes one basis union with V = U, and a
+rebase rewrites only its y node's rows.
 Non-symmetric kernels take the two-sided path.
 
 The factorization records its solve plan as it runs, as a `Replay` on
@@ -419,8 +420,6 @@ def _eliminate_cluster(graph, cid, threshold, replay, stats, timings):
                 graph.add_to_edge(a, b, F)
             else:
                 fills[(ca, cb)] = F
-                if graph.symmetric:
-                    fills[(cb, ca)] = F.T
     timings["matmul_updates"] += time.perf_counter() - t0
 
     redirect_fillin(graph, fills, threshold, stats, timings)
@@ -452,10 +451,10 @@ def _cluster_unions(graph, c, fill_u, fill_v, threshold):
 
     `fill_u` and `fill_v` are lists of raw fill blocks whose columns extend
     the U and V bases; they enter the union with unit weights. On a
-    symmetric graph V = U and `fill_v` holds the transposes of `fill_u`:
-    one union serves both sides. Otherwise the z and y nodes, tied by -I
-    edges, make both sides end at one rank: the side of lower rank is
-    unioned again with that rank as its minimum.
+    symmetric graph V = U, and one union over both lists serves both
+    sides: a fill out of c, transposed, is a fill into c. Otherwise the z
+    and y nodes, tied by -I edges, make both sides end at one rank: the
+    side of lower rank is unioned again with that rank as its minimum.
     """
     nx, nz = graph.node_x[c], graph.node_z[c]
     Uc, su = graph.get_edge(nx, nz), graph.sigma_u[c]
@@ -465,9 +464,10 @@ def _cluster_unions(graph, c, fill_u, fill_v, threshold):
         return weighted_basis_union(basis, weights, fill, np.ones(fill.shape[1]),
                                     threshold, min_rank=min_rank)
 
-    bu_u = union(Uc, su, fill_u) if fill_u else _identity_update(Uc, su)
     if graph.symmetric:
+        bu_u = union(Uc, su, fill_u + fill_v)
         return bu_u, bu_u
+    bu_u = union(Uc, su, fill_u) if fill_u else _identity_update(Uc, su)
     Vc, sv = graph.get_edge(nz, nx).T, graph.sigma_v[c]
     bu_v = union(Vc, sv, fill_v) if fill_v else _identity_update(Vc, sv)
     k = max(bu_u.rank, bu_v.rank)
@@ -528,9 +528,9 @@ def redirect_fillin(graph, fills, threshold, stats, timings):
     basis union over the raw kept fills (F into it on the U side, F^T of F
     out of it on the V side) and one rebase of all its y node's edges.
     Each kept fill is then projected onto the new bases and added to the
-    y-y edge of its pair. On a symmetric graph `fills` holds both F(a, b)
-    and F(b, a) = F(a, b)^T, and only the pairs with a < b are added: the
-    mirror follows.
+    y-y edge of its pair. Each fill has one record: on a symmetric graph
+    `fills` holds F(a, b) alone, F(b, a) = F(a, b)^T is its mirror, and
+    adding it stores the mirror too.
     """
     t0 = time.perf_counter()
     kept = {key: F for key, F in sorted(fills.items())
@@ -559,8 +559,6 @@ def redirect_fillin(graph, fills, threshold, stats, timings):
     # basis of a live source, and an eliminated side keeps the fill on its
     # y node unprojected
     for (a, b), F in kept.items():
-        if graph.symmetric and a > b:
-            continue  # set_edge stores it as the mirror of (b, a)
         if a in bus_u:
             F = bus_u[a].new_basis.T @ F
         if b in bus_v:

@@ -158,19 +158,14 @@ class ExtendedGraph:
     def dim(self) -> int:
         return sum(self.sizes)
 
-    def apply(self, w: np.ndarray) -> np.ndarray:
-        """Action of the extended sparse matrix on a full node vector."""
+    def apply(self, w: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """Action of the extended matrix E, or E^T, on a full node vector."""
         off, total = self._offsets()
         out = np.zeros((total,) + w.shape[1:])
         for (t, s), blk in self.edges.items():
+            if transpose:
+                t, s, blk = s, t, blk.T
             out[off[t]:off[t] + blk.shape[0]] += blk @ w[off[s]:off[s] + blk.shape[1]]
-        return out
-
-    def apply_transpose(self, w: np.ndarray) -> np.ndarray:
-        off, total = self._offsets()
-        out = np.zeros((total,) + w.shape[1:])
-        for (t, s), blk in self.edges.items():
-            out[off[s]:off[s] + blk.shape[1]] += blk.T @ w[off[t]:off[t] + blk.shape[0]]
         return out
 
     def dense_matrix(self, nodes=None) -> np.ndarray:
@@ -218,8 +213,8 @@ def estimate_sigma0(graph: ExtendedGraph, seed: int = 0) -> float:
     omega = rng.standard_normal((graph.dim, min(SIGMA0_SKETCH, graph.dim)))
     sketch = graph.apply(omega)
     for _ in range(SIGMA0_POWER_ITERS):
-        sketch = graph.apply(graph.apply_transpose(np.linalg.qr(sketch)[0]))
-    B = graph.apply_transpose(np.linalg.qr(sketch)[0]).T
+        sketch = graph.apply(graph.apply(np.linalg.qr(sketch)[0], transpose=True))
+    B = graph.apply(np.linalg.qr(sketch)[0], transpose=True).T
     s = np.linalg.svd(B, compute_uv=False)
     return float(s[0]) if s.size else 0.0
 

@@ -22,7 +22,8 @@ side, and per level one `LevelCouplings` with one stack per block shape.
 The `near` and `coupling` dicts hold views into that storage, so the
 graph that borrows them and `h2_matvec` read the same memory; a symmetric
 pair's reverse block is the transposed view. `initialize_weights` rotates
-the couplings in place.
+the couplings in place. A symmetric operator stores its V side once, as
+the U side's arrays and their transposed views (see `initialize_weights`).
 """
 
 from __future__ import annotations
@@ -335,8 +336,9 @@ def chebyshev_operators(tree: Octree, topology: ClusterTopology, kernel: Kernel,
                             for j in row_leaves]), S,
             ci.size * bd if kernel.symmetric else S.shape[1]))
 
-    leaf_v = {cid: U.copy() for cid, U in leaf_u.items()}
-    transfer_vt = {cid: T.T.copy() for cid, T in transfer_u.items()}
+    # V = U on the same grids; `initialize_weights` rotates a non-symmetric V apart
+    leaf_v = dict(leaf_u)
+    transfer_vt = {cid: T.T for cid, T in transfer_u.items()}
     return H2Operators(tree, topology, kernel, n, rank, leaf_u, leaf_v,
                        transfer_u, transfer_vt, coupling, near, near_rows,
                        coupling_levels)
@@ -348,36 +350,30 @@ def initialize_weights(ops: H2Operators, topology: ClusterTopology) -> H2Operato
     The complete left singular basis of the concatenated outgoing
     (incoming) couplings over the interaction list rotates U (V), so the
     stored weights are exactly the per-column singular values. Clusters
-    with an empty interaction list get unit weights.
+    with an empty interaction list get unit weights. A symmetric kernel
+    rotates only U and stores V once: `leaf_v[c]` is `leaf_u[c]`,
+    `sigma_v[c]` is `sigma_u[c]`, and `transfer_vt[c]` is `transfer_u[c].T`.
 
     The couplings are read from `ops.coupling`, so a caller may replace
     its entries first; each rotated block is written once into the
     level stacks, and the dict is rebuilt as views of them.
     """
     tree = ops.tree
+    sym = ops.kernel.symmetric
     rot_u: dict[int, np.ndarray] = {}
     rot_v: dict[int, np.ndarray] = {}
     for level in range(2, tree.depth + 1):
         for j in tree.levels[level]:
-            k = ops.rank[j]
             ilist = topology.interactions[j]
-            if not ilist:
-                ops.sigma_u[j] = np.ones(k)
-                ops.sigma_v[j] = np.ones(k)
-                rot_u[j] = rot_v[j] = np.eye(k)
-                continue
-            P, su = left_singular(np.hstack([ops.coupling[(j, q)] for q in ilist]))
-            ops.sigma_u[j] = _pad_weights(su, k)
-            if ops.kernel.symmetric:
+            rot_u[j], ops.sigma_u[j] = _rotation(
+                [ops.coupling[(j, q)] for q in ilist], ops.rank[j])
+            if sym:
                 # the incoming concatenation is the transpose of the outgoing
                 # one; sharing the rotation keeps U = V exactly
-                ops.sigma_v[j] = ops.sigma_u[j].copy()
-                Q = P
+                rot_v[j], ops.sigma_v[j] = rot_u[j], ops.sigma_u[j]
             else:
-                Q, sv = left_singular(
-                    np.hstack([ops.coupling[(q, j)].T for q in ilist]))
-                ops.sigma_v[j] = _pad_weights(sv, k)
-            rot_u[j], rot_v[j] = P, Q
+                rot_v[j], ops.sigma_v[j] = _rotation(
+                    [ops.coupling[(q, j)].T for q in ilist], ops.rank[j])
 
     # every rotation is computed before the first block is overwritten
     for lev in ops.coupling_levels:
@@ -387,17 +383,22 @@ def initialize_weights(ops: H2Operators, topology: ClusterTopology) -> H2Operato
     if tree.depth >= 2:
         for cid in tree.leaves():
             ops.leaf_u[cid] = ops.leaf_u[cid] @ rot_u[cid]
-            ops.leaf_v[cid] = ops.leaf_v[cid] @ rot_v[cid]
+            ops.leaf_v[cid] = (ops.leaf_u[cid] if sym
+                               else ops.leaf_v[cid] @ rot_v[cid])
     for c, T in ops.transfer_u.items():
         p = tree.clusters[c].parent
         ops.transfer_u[c] = rot_u[c].T @ (T @ rot_u[p])
-        ops.transfer_vt[c] = (rot_v[p].T @ ops.transfer_vt[c]) @ rot_v[c]
+        ops.transfer_vt[c] = (ops.transfer_u[c].T if sym else
+                              (rot_v[p].T @ ops.transfer_vt[c]) @ rot_v[c])
     return ops
 
 
-def _pad_weights(s: np.ndarray, k: int) -> np.ndarray:
+def _rotation(blocks: list[np.ndarray], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Complete left singular basis of the k-row blocks side by side, and k
+    weights from their singular values (the identity and ones for none)."""
+    W, s = left_singular(np.hstack([np.zeros((k, 0)), *blocks]))
     if len(s) == 0:
-        return np.ones(k)
+        return W, np.ones(k)
     w = np.concatenate([s[:k], np.full(max(0, k - len(s)), s[min(len(s), k) - 1])])
     scale = w[0] if w[0] > 0 else 1.0
-    return np.maximum(w, 1e-14 * scale)
+    return W, np.maximum(w, 1e-14 * scale)

@@ -1,9 +1,9 @@
 """Non-restarted GMRES with pluggable matvec and preconditioner.
 
-Arnoldi with modified Gram-Schmidt and Givens-rotation least squares.
-The residual history holds the quantity GMRES minimizes: the true
-relative residual for right (or no) preconditioning, the preconditioned
-residual for left preconditioning.
+Arnoldi with modified Gram-Schmidt and Givens-rotation least squares;
+right preconditioning is flexible (FGMRES, Saad 1993). The residual
+history holds the quantity GMRES minimizes: the true relative residual
+for right (or no) preconditioning, the preconditioned one for left.
 
 Also provides the fast hierarchical matvec over H2Operators (the same
 operators the factorization consumes), applied through their compiled
@@ -37,8 +37,13 @@ def gmres(apply_A: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
           side: str = "right") -> tuple[np.ndarray, IterationTrace]:
     """Solve A x = b; returns the iterate and its residual trace.
 
-    `precond` applies P^{-1}. Zero-vector Arnoldi breakdown returns the
-    current iterate (converged if the residual estimate met tol).
+    `precond` applies P^{-1}. On the right side, once per iteration: A
+    multiplies its outputs z_k and x = sum y_k z_k, so the residual history
+    is the true residual of x for any preconditioner, linear or not. The
+    outputs are kept: `precond` must return arrays it does not modify
+    later. A `b` that is not 1-D or not finite raises ValueError.
+    Zero-vector Arnoldi breakdown returns the current iterate (converged
+    if the residual estimate met tol).
     """
     if tol <= 0 or max_iters < 1:
         raise ValueError("tol must be > 0 and max_iters >= 1")
@@ -46,6 +51,11 @@ def gmres(apply_A: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
         side = "none"
     if side not in ("left", "right", "none"):
         raise ValueError("side must be 'left', 'right', or 'none'")
+    b = np.asarray(b, dtype=float)
+    if b.ndim != 1:
+        raise ValueError(f"b must be 1-D, got shape {b.shape}")
+    if not np.isfinite(b).all():
+        raise ValueError("b must be finite (it has nan or inf entries)")
     trace = IterationTrace(side=side)
 
     n = len(b)
@@ -55,9 +65,10 @@ def gmres(apply_A: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
         trace.converged = True
         return np.zeros(n), trace
 
-    # the Krylov basis and the rotated Hessenberg columns grow with the
-    # iterations taken, not with max_iters
+    # the Krylov basis, the vectors A multiplied and the rotated Hessenberg
+    # columns grow with the iterations taken, not with max_iters
     V = [r0 / beta]
+    Z: list[np.ndarray] = []            # z_k = P^{-1} v_k on the right side
     R: list[np.ndarray] = []            # column k holds H[:k+1, k]
     cs: list[float] = []
     sn: list[float] = []
@@ -65,12 +76,10 @@ def gmres(apply_A: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
 
     breakdown = False
     for k in range(max_iters):
-        if side == "right":
-            w = apply_A(precond(V[k]))
-        elif side == "left":
-            w = precond(apply_A(V[k]))
-        else:
-            w = apply_A(V[k])
+        Z.append(precond(V[k]) if side == "right" else V[k])
+        w = apply_A(Z[k])
+        if side == "left":
+            w = precond(w)
         h = np.zeros(k + 2)
         for i in range(k + 1):          # modified Gram-Schmidt
             h[i] = V[i] @ w
@@ -113,10 +122,8 @@ def gmres(apply_A: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
         for j, col in enumerate(R):
             H[:j + 1, j] = col
         y = sla.solve_triangular(H, np.array(g[:k]))
-        u = np.zeros(n)
-        for yi, vi in zip(y, V):
-            u += yi * vi
-        x = precond(u) if side == "right" else u
+        for yi, zi in zip(y, Z):
+            x += yi * zi
     trace.iterations = k
     return x, trace
 

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+MAX_DEPTH = 12   # deepest tree the automatic depth choice builds
+
 
 class DegenerateGeometryError(ValueError):
     """Raised when all input points coincide (zero bounding box)."""
@@ -48,10 +50,6 @@ class Cluster:
     @property
     def size(self) -> int:
         return self.stop - self.start
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
 
 
 @dataclass
@@ -117,15 +115,15 @@ def _count_occupied(points, center, half_width, level) -> int:
 
 def build_octree(points: np.ndarray, leaf_target: int,
                  depth: int | None = None,
-                 root_box: tuple[np.ndarray, float] | None = None,
-                 max_depth: int = 12) -> tuple[Octree, np.ndarray]:
+                 root_box: tuple[np.ndarray, float] | None = None
+                 ) -> tuple[Octree, np.ndarray]:
     """Build a uniform octree whose non-empty leaves hold ~leaf_target points.
 
     The depth is the smallest L >= 2 such that the mean population of the
-    non-empty leaf cells is <= leaf_target. Pass `depth` to force a specific
-    depth instead (any value >= 0, including the degenerate single-cell
-    tree). `root_box=(center, half_width)` overrides the bounding cube
-    derived from the points.
+    non-empty leaf cells is <= leaf_target, capped at MAX_DEPTH. Pass
+    `depth` to force a specific depth instead (any value >= 0, including
+    the degenerate single-cell tree). `root_box=(center, half_width)`
+    overrides the bounding cube derived from the points.
 
     Returns the tree and the permutation that sorts points into leaf
     (Morton) order.
@@ -165,7 +163,7 @@ def build_octree(points: np.ndarray, leaf_target: int,
 
     if depth is None:
         depth = 2
-        while (depth < max_depth
+        while (depth < MAX_DEPTH
                and len(points) / _count_occupied(points, center, half_width, depth)
                > leaf_target):
             depth += 1

@@ -683,10 +683,12 @@ def test_rebased_multipole_rows_have_zero_rhs(monkeypatch, kernel):
 def test_symmetric_kernel_factors_one_side(monkeypatch, kernel):
     # a symmetric kernel keeps the graph exactly symmetric through every
     # elimination, rebase and merge: mirrored edges, U = V and one set of
-    # weights per cluster, and elimination steps that keep one side
+    # weights per cluster, elimination steps that keep one side, and one
+    # record per well-separated fill: never both F(a, b) and F(b, a)
     symmetric = kernel.symmetric
-    checked, rebased = [], []
+    checked, rebased, fill_keys = [], [], []
     eliminate, rebase = ifmm.factor.eliminate_level, ifmm.factor._apply_rebase
+    redirect = ifmm.factor.redirect_fillin
 
     def assert_u_equals_v(graph, c):
         assert np.array_equal(graph.sigma_u[c], graph.sigma_v[c])
@@ -719,13 +721,21 @@ def test_symmetric_kernel_factors_one_side(monkeypatch, kernel):
         rebased.append(c)
         return out
 
+    def redirect_spy(graph, fills, *args):
+        fill_keys.append(set(fills))
+        return redirect(graph, fills, *args)
+
     monkeypatch.setattr(ifmm.factor, "eliminate_level", level_spy)
     monkeypatch.setattr(ifmm.factor, "_apply_rebase", rebase_spy)
+    monkeypatch.setattr(ifmm.factor, "redirect_fillin", redirect_spy)
     pts, kern, tree, topo, ops = setup_problem(500, leaf_target=3, kernel=kernel)
     assert tree.depth == 3
     fct = factorize(assemble_extended_graph(ops), epsilon=1e-10, seed=0)
     assert len(checked) == (4 if symmetric else 0)
     assert rebased
+    assert any(fill_keys)
+    mirrored = any((b, a) in keys for keys in fill_keys for a, b in keys)
+    assert mirrored == (not symmetric)
     steps = [st for st in fct.replay.steps if type(st) is _ElimStep]
     assert steps
     for st in steps:

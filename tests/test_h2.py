@@ -116,10 +116,25 @@ def test_weights_single_interaction_rank_one():
 def test_blocks_are_views_of_compiled_storage(kern):
     # every near and coupling block lives in its leaf row or level stack,
     # once per unordered pair for a symmetric kernel: a mirror is the
-    # transposed view of the same memory
+    # transposed view of the same memory. A symmetric kernel's V side is
+    # its U side (at depth 3 through the transfers too); a non-symmetric
+    # kernel's is its own
     pts = cube_uniform(1000, seed=4).points
-    tree, topo, ops = make_ops(pts, kern, n=2, leaf_target=4)
-    assert tree.depth == 3
+    for depth in (3, 2):
+        tree, topo, ops = make_ops(pts, kern, n=2, leaf_target=4, depth=depth)
+        assert_compiled_storage(kern, ops)
+        sides = ([(ops.leaf_v[c], ops.leaf_u[c]) for c in tree.leaves()]
+                 + [(ops.transfer_vt[c], ops.transfer_u[c].T)
+                    for c in ops.transfer_u]
+                 + [(ops.sigma_v[c], ops.sigma_u[c]) for c in ops.sigma_u])
+        assert bool(ops.transfer_u) == (depth == 3)
+        for V, U in sides:
+            assert np.shares_memory(V, U) == kern.symmetric
+            if kern.symmetric:
+                assert np.array_equal(V, U)
+
+
+def assert_compiled_storage(kern, ops):
     coupling_stacks = [g.blocks for lev in ops.coupling_levels for g in lev.groups]
     for blocks, storage in ((ops.near, [r.block for r in ops.near_rows]),
                             (ops.coupling, coupling_stacks)):

@@ -91,6 +91,29 @@ def test_gmres_right_residual_is_true_residual():
     assert rel == pytest.approx(tr.residual_history[-1], rel=1e-6, abs=1e-12)
 
 
+def test_gmres_right_flexible_with_inexact_preconditioner():
+    # an approximate inverse applied in float32 is not linear; right GMRES
+    # builds x from the preconditioned vectors it multiplied by A, so the
+    # last residual it reports is that of x, with one solve per iteration
+    rng = np.random.default_rng(0)
+    n = 200
+    A = rng.standard_normal((n, n)) + 20 * np.eye(n)
+    M = np.linalg.inv(A).astype(np.float32)
+    b = rng.standard_normal(n)
+    calls = []
+
+    def precond(v):
+        calls.append(1)
+        return (M @ v.astype(np.float32)).astype(float)
+
+    x, tr = gmres(lambda v: A @ v, b, tol=1e-12, max_iters=50,
+                  precond=precond, side="right")
+    assert tr.converged
+    rel = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+    assert rel == pytest.approx(tr.residual_history[-1], rel=1e-2)
+    assert len(calls) == tr.iterations
+
+
 def test_gmres_memory_follows_iterations_taken():
     # three distinct eigenvalues: converged after three iterations, while
     # a basis sized for max_iters alone would take 501 * n * 8 B = 80 MB
@@ -115,6 +138,21 @@ def test_gmres_validates_arguments():
         gmres(lambda v: v, np.ones(3), tol=1e-8, max_iters=0)
     with pytest.raises(ValueError):
         gmres(lambda v: v, np.ones(3), precond=lambda v: v, side="middle")
+
+
+@pytest.mark.parametrize("b,match", [
+    (np.ones((6, 2)), r"b must be 1-D, got shape \(6, 2\)"),
+    (np.ones(()), r"b must be 1-D, got shape \(\)"),
+    (np.array([1.0, np.nan, 2.0]), "nan or inf"),
+    (np.array([1.0, -np.inf]), "nan or inf"),
+], ids=["block", "scalar", "nan", "inf"])
+def test_gmres_rejects_bad_rhs(b, match):
+    # named before the first iteration: neither A nor P^{-1} is applied
+    def never(v):
+        raise AssertionError("applied before b was checked")
+
+    with pytest.raises(ValueError, match=match):
+        gmres(never, b, precond=never, side="left")
 
 
 def make_ops(pts, kern, n, leaf_target=20, depth=None):
