@@ -25,21 +25,21 @@ rebase rewrites only its y node's rows.
 Non-symmetric kernels take the two-sided path.
 
 The factorization records its solve plan as it runs, as a `Replay` on
-one vector: every node owns a fixed segment, the leaf x nodes in the
-permuted point order first (so a right-hand side is copied straight in),
-and every other node the next free one at its first step. Each
+one vector: the leaf x nodes own the first segments, in the permuted
+point order (so a right-hand side is copied straight in), and each y
+node the next free one at its cluster's elimination. A merge computes
+nothing and records nothing: it renames the children's unknowns, so a
+parent's x segment is the run of its children's segments. Each
 elimination appends a step holding its pivot factors and popped edges
 (the row edges as one array, and on the two-sided path the column edges
 as another; on the symmetric path the column edges are the transposes of
-the rows), and each merge a step holding the layout of the children's
-nodes in their parent's x node. Going forward, an elimination is one
-pivot solve and one matrix-vector product scattered into its targets'
-segments, and a merge one gather; going back, an elimination is one
-gathered product and one pivot solve, and a merge one scatter. Pivot
-solves call LAPACK getrs directly. `forward_sweep` (the test oracles'
-entry, on a plan recorded so far) and `IFMMFactorization.solve` run the
-same replay; the solve pulls the solution back by substitution, for any
-number of right-hand sides without refactorizing.
+the rows). Going forward, an elimination is one pivot solve and one
+matrix-vector product scattered into its targets' segments; going back,
+one gathered product and one pivot solve. Pivot solves call LAPACK
+getrs directly. `forward_sweep` (the test oracles' entry, on a plan
+recorded so far) and `IFMMFactorization.solve` run the same replay; the
+solve pulls the solution back by substitution, for any number of
+right-hand sides without refactorizing.
 """
 
 from __future__ import annotations
@@ -116,28 +116,24 @@ class _ElimStep(NamedTuple):
     fwd: np.ndarray           # E(targets, x): its own array, or `rows.T`
 
 
-class _MergeStep(NamedTuple):
-    ps: slice                 # segment of the parent x node
-    parts: np.ndarray         # gather index of the parts' segments
-
-
 @dataclass(slots=True)
 class Replay:
-    """The solve plan on one vector.
+    """The solve plan on one vector of length `size`.
 
-    Every node a step touches owns the fixed segment `segments[node]` of a
-    vector of length `size`, given at its first step. `forward` pushes the
-    right-hand side held in the vector through the steps: an elimination
-    leaves the right-hand side of its x node at elimination in the x
-    segment and sets its y segment, and a merge gathers its parts into the
-    parent segment. `backward` takes the vector with the solution of the
+    Every node a step touches owns the fixed segment `segments[node]`: a
+    leaf x node from the start, a y node from its cluster's elimination,
+    and a parent x node the run of its children's segments, which it
+    takes over at the merge. `forward` pushes the right-hand side held in
+    the vector through the steps: an elimination leaves the right-hand
+    side of its x node at elimination in the x segment and sets its y
+    segment. `backward` takes the vector with the solution of the
     remaining nodes in their segments and substitutes back through the
     steps in reverse, leaving each eliminated x node's solution in its
     segment.
     """
     segments: dict[int, slice]
     size: int
-    steps: list[_ElimStep | _MergeStep] = field(default_factory=list)
+    steps: list[_ElimStep] = field(default_factory=list)
 
     @classmethod
     def for_graph(cls, graph: ExtendedGraph) -> Replay:
@@ -148,27 +144,20 @@ class Replay:
                                            tree.clusters[c].stop * bd)
                     for c in tree.leaves()}, tree.n_points * bd)
 
-    def segment(self, node: int, n: int) -> slice:
-        """The segment of `node`; the next n free entries if it has none."""
-        s = self.segments.get(node)
-        if s is None:
-            s = self.segments[node] = slice(self.size, self.size + n)
-            self.size += n
+    def new_segment(self, node: int, n: int) -> slice:
+        """Give `node` the next n free entries."""
+        s = self.segments[node] = slice(self.size, self.size + n)
+        self.size += n
         return s
 
-    def gather(self, parts) -> np.ndarray:
-        """Gather index of the segments of `parts`, as (node, size), in order."""
-        return np.concatenate(
-            [np.arange(s.start, s.stop, dtype=np.int32)
-             for s in (self.segment(node, n) for node, n in parts)] or
-            [np.zeros(0, np.int32)])
+    def gather(self, nodes) -> np.ndarray:
+        """Gather index of the segments of `nodes`, in order."""
+        segs = [self.segments[n] for n in nodes]
+        return np.concatenate([np.arange(s.start, s.stop, dtype=np.int32)
+                               for s in segs] or [np.zeros(0, np.int32)])
 
     def forward(self, v: np.ndarray) -> None:
-        for st in self.steps:
-            if type(st) is _MergeStep:
-                v[st.ps] = v[st.parts]
-                continue
-            xs, ys, lu_piv, _, tgt, _, fwd = st
+        for xs, ys, lu_piv, _, tgt, _, fwd in self.steps:
             sx = xs.stop - xs.start
             g = np.zeros(sx + ys.stop - ys.start)
             g[:sx] = v[xs]
@@ -177,11 +166,7 @@ class Replay:
             v[ys] = g[sx:]
 
     def backward(self, v: np.ndarray) -> None:
-        for st in reversed(self.steps):
-            if type(st) is _MergeStep:
-                v[st.parts] = v[st.ps]
-                continue
-            xs, ys, lu_piv, src, _, rows, _ = st
+        for xs, ys, lu_piv, src, _, rows, _ in reversed(self.steps):
             sx = xs.stop - xs.start
             r = np.empty(sx + ys.stop - ys.start)
             np.subtract(v[xs], rows @ v[src], out=r[:sx])
@@ -197,8 +182,9 @@ def forward_sweep(replay: Replay,
     other row starts with a zero right-hand side. Returns a map from every
     node with a segment to its right-hand side after the steps: for the
     remaining nodes, that of the reduced system, and for an eliminated x
-    node, that at its elimination. The arrays are views of one vector;
-    neither `rhs` nor its arrays are modified.
+    node, that at its elimination. The arrays are views of one vector, so
+    a merged child's view is part of its parent's; neither `rhs` nor its
+    arrays are modified.
     """
     v = np.zeros(replay.size)
     for node, r in rhs.items():
@@ -283,17 +269,22 @@ def factorize(graph: ExtendedGraph, epsilon: float, seed: int = 0,
     so with `sigma0` given the factorization does not depend on `seed`.
 
     The graph is consumed: `factorize` pops every edge, and the top
-    system is factored in place. The graph borrows the operator blocks of
-    `graph.ops` without copying them; do not modify those arrays in place
-    while it is in use. The returned factor keeps no operator block: each
-    elimination step concatenates the edges it records into arrays of its
-    own, and a depth-0 root block, the caller's near block, is copied.
+    system is factored in place; a second call on it raises ValueError.
+    The graph borrows the operator blocks of `graph.ops` without copying
+    them; do not modify those arrays in place while it is in use. The
+    returned factor keeps no operator block: each elimination step
+    concatenates the edges it records into arrays of its own, and a
+    depth-0 root block, the caller's near block, is copied.
     """
+    tree = graph.tree
+    if any(graph.get_edge(graph.node_x[c], graph.node_x[c]) is None
+           for c in tree.leaves()):
+        raise ValueError("the graph was already factorized (factorize consumes "
+                         "it): assemble a new one")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
     if sigma0 is not None and not (np.isfinite(sigma0) and sigma0 > 0):
         raise ValueError("sigma0 must be finite and positive")
-    tree = graph.tree
     timings = {k: 0.0 for k in TIMING_KEYS}
     timings["sigma0_estimation"] = 0.0
 
@@ -368,13 +359,13 @@ def _eliminate_cluster(graph, cid, threshold, replay, stats, timings):
             graph.pop_edge(b, nx)
     sources, rows = _pop_stacked(graph, nx, src_nodes, 1)
     offs = np.cumsum([0] + [n for _, n in sources] + [size_z])
-    xs, ys = replay.segment(nx, size_x), replay.segment(ny, size_z)
-    src = replay.gather(sources)
+    xs, ys = replay.segments[nx], replay.new_segment(ny, size_z)
+    src = replay.gather(n for n, _ in sources)
     if graph.symmetric:
         targets, cols, tgt = sources, rows.T, src
     else:
         targets, cols = _pop_stacked(graph, nx, sorted(graph.col_targets[nx]), 0)
-        tgt = replay.gather(targets)
+        tgt = replay.gather(n for n, _ in targets)
     toffs = np.cumsum([0] + [n for _, n in targets])
     col_blocks = [(a, cols[toffs[j]:toffs[j + 1]])
                   for j, (a, _) in enumerate(targets)]
@@ -570,8 +561,7 @@ def redirect_fillin(graph, fills, threshold, stats, timings):
 
 
 def merge_to_parent(graph: ExtendedGraph, level: int, replay: Replay) -> None:
-    """Join the nodes of siblings at `level` into their parent's x node,
-    appending one step per parent to `replay`.
+    """Join the nodes of siblings at `level` into their parent's x node.
 
     A child joins with its y node, or with its x node if it has none
     (level 1, and the leaves of a depth-1 tree). Every edge of a child
@@ -581,21 +571,28 @@ def merge_to_parent(graph: ExtendedGraph, level: int, replay: Replay) -> None:
     block, which is placed, not added. At level 1 the only new block is
     the root's self-edge, the top-level system; it is Fortran-ordered, so
     that LAPACK factors it in place.
+
+    The solve needs no step for it: the parent's x segment is the run of
+    its children's segments, which lie side by side in child order (a
+    level is eliminated in Morton order, the order children are listed
+    in), so the parent's view is its children's memory, and a child's
+    offset in the parent block is its offset in that run.
     """
     tree = graph.tree
     parent: dict[int, tuple[int, int]] = {}  # child node -> (parent x, offset)
     for pid in tree.levels[level - 1]:
         kids = [graph.node_y[c] if c in graph.node_y else graph.node_x[c]
                 for c in tree.clusters[pid].children]
-        parts = [(n, graph.sizes[n]) for n in kids]
-        px = graph._new_node(sum(s for _, s in parts), X, pid)
+        segs = [replay.segments[n] for n in kids]
+        if any(a.stop != b.start for a, b in zip(segs, segs[1:])):
+            raise AssertionError(f"segments of the children of cluster {pid} "
+                                 "are not adjacent in child order")
+        start, stop = segs[0].start, segs[-1].stop
+        px = graph._new_node(stop - start, X, pid)
         graph.node_x[pid] = px
-        off = 0
-        for cy, s in parts:
-            parent[cy] = (px, off)
-            off += s
-        replay.steps.append(_MergeStep(replay.segment(px, graph.sizes[px]),
-                                       replay.gather(parts)))
+        replay.segments[px] = slice(start, stop)
+        for n, s in zip(kids, segs):
+            parent[n] = (px, s.start - start)
 
     def place(node):
         return parent.get(node, (node, 0))

@@ -237,7 +237,8 @@ def chebyshev_operators(tree: Octree, topology: ClusterTopology, kernel: Kernel,
 
     The reduction threshold per block is max(epsilon, 1e-13) times the
     block's leading singular value, so epsilon=0 gives a numerically
-    lossless orthonormalization.
+    lossless orthonormalization. Raises ValueError unless epsilon is in
+    [0, 1).
 
     For a kernel marked symmetric, every leaf self block must equal its
     transpose to SYMMETRY_RTOL relative (Frobenius norm), and so must the
@@ -248,6 +249,8 @@ def chebyshev_operators(tree: Octree, topology: ClusterTopology, kernel: Kernel,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not 0.0 <= epsilon < 1.0:  # also false for nan
+        raise ValueError("epsilon must be in [0, 1)")
     bd = kernel.block_dim
     cl = tree.clusters
     floor = max(epsilon, 1e-13)

@@ -7,7 +7,7 @@ import ifmm.factor
 from ifmm.dense import dense_matrix
 from ifmm.factor import (TIMING_KEYS, FillinStats, Replay,
                          SingularPivotError, _cluster_unions, _ElimStep,
-                         _eliminate_cluster, _MergeStep, eliminate_level,
+                         _eliminate_cluster, eliminate_level,
                          factorize, forward_sweep, merge_to_parent)
 from ifmm.graph import assemble_extended_graph, estimate_sigma0, h2_dense
 from ifmm.h2 import chebyshev_operators, initialize_weights
@@ -316,8 +316,7 @@ def test_factorize_calls_traced_names(monkeypatch):
     assert all(calls[name] > 0 for name in names), calls
     assert levels == [(lv, {lv}) for lv in range(tree.depth, 1, -1)]
     # one redirection per eliminated cluster
-    assert calls["redirect_fillin"] == sum(type(st) is _ElimStep
-                                           for st in fct.replay.steps)
+    assert calls["redirect_fillin"] == len(fct.replay.steps)
 
 
 def test_nonsymmetric_lossless_matches_h2_dense_solve():
@@ -639,6 +638,17 @@ def test_factorize_rejects_bad_epsilon():
         factorize(graph, epsilon=0.0)
 
 
+@pytest.mark.parametrize("depth", [0, 2])
+def test_factorize_rejects_consumed_graph(depth):
+    # factorize pops every edge: a second call names the fault instead of
+    # failing on a missing edge
+    pts, kern, tree, topo, ops = setup_problem(200, leaf_target=10, depth=depth)
+    graph = assemble_extended_graph(ops)
+    factorize(graph, epsilon=1e-6, seed=0)
+    with pytest.raises(ValueError, match="already factorized"):
+        factorize(graph, epsilon=1e-6, seed=0)
+
+
 @pytest.mark.parametrize("sigma0", [np.nan, np.inf, -1.0, 0.0])
 def test_factorize_rejects_bad_sigma0(sigma0):
     # nan or inf would drop every well-separated fill, and a sigma0 <= 0
@@ -736,9 +746,8 @@ def test_symmetric_kernel_factors_one_side(monkeypatch, kernel):
     assert any(fill_keys)
     mirrored = any((b, a) in keys for keys in fill_keys for a, b in keys)
     assert mirrored == (not symmetric)
-    steps = [st for st in fct.replay.steps if type(st) is _ElimStep]
-    assert steps
-    for st in steps:
+    assert fct.replay.steps
+    for st in fct.replay.steps:
         # the row edges side by side, one column block per source
         sx = st.xs.stop - st.xs.start
         assert st.rows.shape == (sx, len(st.src))
@@ -749,26 +758,47 @@ def test_symmetric_kernel_factors_one_side(monkeypatch, kernel):
             assert st.fwd.shape == (len(st.tgt), sx)
 
 
-@pytest.mark.parametrize("kernel", [benchmark_kernel(1e-2), nonsymmetric_kernel()],
-                         ids=["benchmark", "nonsymmetric"])
-def test_compiled_replay_layout(kernel):
-    # the solve replays the plan on one vector: every node owns a segment
-    # of its own, the leaf x segments tile [0, dim) in the permuted point
-    # order, every gather takes whole segments, each once, and an
-    # elimination's gathers never touch its own x or y rows
-    pts, kern, tree, topo, ops = setup_problem(500, leaf_target=3, kernel=kernel)
-    assert tree.depth == 3
+@pytest.mark.parametrize("kernel,depth", [
+    (benchmark_kernel(1e-2), None), (nonsymmetric_kernel(), None),
+    (benchmark_kernel(1e-2), 1)], ids=["benchmark", "nonsymmetric", "depth1"])
+def test_compiled_replay_layout(kernel, depth):
+    # the solve replays the plan on one vector: the leaf x segments tile
+    # [0, dim) in the permuted point order, every y node gets a segment of
+    # its own at its elimination, and a merge adds none: a parent's x
+    # segment is the run of its children's segments, in child order. The
+    # plan holds one elimination per cluster below level 1, whose gathers
+    # take whole segments, each once, and never touch its own x or y rows
+    pts, kern, tree, topo, ops = setup_problem(500, leaf_target=3, kernel=kernel,
+                                               depth=depth)
+    assert tree.depth == (3 if depth is None else depth)
     graph = assemble_extended_graph(ops)
     fct = factorize(graph, epsilon=1e-10, seed=0)
     replay, bd = fct.replay, fct.block_dim
+    parents = [c for c in range(tree.n_clusters) if tree.clusters[c].children]
+    parent_nodes = {graph.node_x[p] for p in parents}
+
+    def kid_node(c):
+        return graph.node_y[c] if c in graph.node_y else graph.node_x[c]
 
     owner = np.full(replay.size, -1)
     for node, seg in replay.segments.items():
-        assert np.all(owner[seg] == -1), f"segment of node {node} overlaps"
-        owner[seg] = node
+        if node not in parent_nodes:
+            assert np.all(owner[seg] == -1), f"segment of node {node} overlaps"
+            owner[seg] = node
     for c in tree.leaves():
         cl = tree.clusters[c]
         assert replay.segments[graph.node_x[c]] == slice(cl.start * bd, cl.stop * bd)
+    at = np.arange(replay.size)
+    for p in parents:
+        np.testing.assert_array_equal(
+            at[replay.segments[graph.node_x[p]]],
+            np.concatenate([at[replay.segments[kid_node(c)]]
+                            for c in tree.clusters[p].children]))
+    if tree.depth <= 1:
+        assert replay.segments[fct.root] == slice(0, fct.dim)
+    eliminated = [c for level in tree.levels[2:] for c in level]
+    assert replay.size == fct.dim + sum(graph.sizes[graph.node_y[c]]
+                                        for c in eliminated)
 
     def assert_whole_segments(idx):
         if len(idx) == 0:
@@ -777,20 +807,15 @@ def test_compiled_replay_layout(kernel):
         runs = nodes[np.r_[0, np.flatnonzero(np.diff(nodes)) + 1]]
         assert len(set(runs)) == len(runs)
         np.testing.assert_array_equal(idx, np.concatenate(
-            [np.arange(replay.size)[replay.segments[n]] for n in runs]))
+            [at[replay.segments[n]] for n in runs]))
 
-    elims = [st for st in replay.steps if type(st) is _ElimStep]
-    merges = [st for st in replay.steps if type(st) is _MergeStep]
-    assert len(elims) > 0 and len(merges) > 0
-    assert len(elims) + len(merges) == len(replay.steps)
-    for st in elims:
-        own = np.r_[np.arange(replay.size)[st.xs], np.arange(replay.size)[st.ys]]
+    assert len(replay.steps) == len(eliminated)
+    assert all(type(st) is _ElimStep for st in replay.steps)
+    for st in replay.steps:
+        own = np.r_[at[st.xs], at[st.ys]]
         for idx in (st.src, st.tgt):
             assert_whole_segments(idx)
             assert not np.isin(idx, own).any()
-    for st in merges:
-        assert_whole_segments(st.parts)
-        assert len(st.parts) == st.ps.stop - st.ps.start
 
     b = np.random.default_rng(13).standard_normal(len(pts))
     x = fct.solve(b)

@@ -320,6 +320,17 @@ def test_assemble_requires_weights():
         assemble_extended_graph(ops)
 
 
+@pytest.mark.parametrize("epsilon", [-1e-3, 1.0, 2.0, np.nan, np.inf])
+def test_chebyshev_operators_rejects_bad_epsilon(epsilon):
+    # an epsilon of 1 or more (or nan) would reduce every basis to rank 1
+    pts = cube_uniform(100, seed=0).points
+    tree, _ = build_octree(pts, leaf_target=10)
+    topo = compute_topology(tree)
+    with pytest.raises(ValueError, match="epsilon"):
+        chebyshev_operators(tree, topo, benchmark_kernel(1e-2), n=2,
+                            epsilon=epsilon)
+
+
 def test_nonsymmetric_kernel_h2_matches_dense():
     # both blocks of every coupling and near pair are evaluated, so the
     # represented matrix is the kernel's own, not its symmetric part
