@@ -1,16 +1,51 @@
-"""Benchmark CLI: one experiment per invocation, JSON/CSV reports."""
+"""Benchmark CLI: one experiment per invocation, JSON/CSV reports.
+
+Every `RunConfig` field is a flag of the same name (underscores become
+dashes), with the field's default and a type taken from that default;
+`FLAG_EXTRAS` adds what a field cannot say about its flag.
+"""
 
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from dataclasses import fields
 
-from .experiments import (RunConfig, fit_loglog_slope, run_direct,
-                          run_iterative, run_scaling)
+from .experiments import (RunConfig, build_pipeline, fit_loglog_slope, run,
+                          run_scaling)
 from .graph import assemble_extended_graph
 from .kernels import scene_to_text
 from .reports import write_csv
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(","))
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+# per RunConfig field: choices, help, a parser where the default's type is
+# not one, and a flag name that is not the field's
+FLAG_EXTRAS = {
+    "kernel": dict(choices=["benchmark", "rpy"]),
+    "n_points": dict(help="point count (sphere/cube distributions)"),
+    "distribution": dict(choices=["sphere", "cube", "lattice", "shells"]),
+    "d_scaling": dict(choices=["none", "sphere", "cube"]),
+    "mode": dict(choices=["direct", "gmres"]),
+    "precond": dict(choices=["none", "blockdiag", "ifmm"]),
+    "precond_side": dict(choices=["left", "right"]),
+    "depth": dict(type=int, help="force the octree depth (default: automatic)"),
+    "lattice_shape": dict(flag="--lattice", type=_ints,
+                          help="lattice shape nx,ny,nz"),
+    "subdivision": dict(help="icosphere subdivision for lattice bodies"),
+    "shell_subdivisions": dict(type=_ints),
+    "shell_radii": dict(type=_floats,
+                        help="comma-separated radii (default: doubling from 1)"),
+    "dense_cap": dict(help="largest dimension using exact dense matvecs"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -19,46 +54,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fast direct solver / preconditioner benchmarks for "
                     "dense kernel matrices.")
     p.add_argument("--config", type=str, default=None,
-                   help="JSON file with flag defaults (underscored keys); "
-                        "command-line flags override it")
-    p.add_argument("--kernel", choices=["benchmark", "rpy"], default="benchmark")
-    p.add_argument("--n-points", type=int, default=1000,
-                   help="point count (sphere/cube distributions)")
-    p.add_argument("--sweep", type=str, default=None,
-                   help="comma-separated N list; runs a scaling sweep")
-    p.add_argument("--distribution",
-                   choices=["sphere", "cube", "lattice", "shells"],
-                   default="cube")
-    p.add_argument("--cheb-nodes", type=int, default=3)
-    p.add_argument("--epsilon", type=float, default=1e-3)
-    p.add_argument("--leaf-target", type=int, default=100)
-    p.add_argument("--d", type=float, default=1e-3)
-    p.add_argument("--d-scaling", choices=["none", "sphere", "cube"],
-                   default="none")
-    p.add_argument("--mode", choices=["direct", "gmres"], default="direct")
-    p.add_argument("--precond", choices=["none", "blockdiag", "ifmm"],
-                   default="none")
-    p.add_argument("--precond-side", choices=["left", "right"], default="right")
-    p.add_argument("--gmres-tol", type=float, default=1e-10)
-    p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--depth", type=int, default=None,
-                   help="force the octree depth (default: automatic)")
-    # rpy / rigid-body scene parameters
-    p.add_argument("--rpy-radius", type=float, default=0.25)
-    p.add_argument("--viscosity", type=float, default=1.0)
-    p.add_argument("--lattice", type=str, default="4,4,4",
-                   help="lattice shape nx,ny,nz")
-    p.add_argument("--lattice-spacing", type=float, default=4.0)
-    p.add_argument("--body-radius", type=float, default=1.0)
-    p.add_argument("--subdivision", type=int, default=1,
-                   help="icosphere subdivision for lattice bodies")
-    p.add_argument("--shell-subdivisions", type=str, default="1,2,3")
-    p.add_argument("--shell-radii", type=str, default=None,
-                   help="comma-separated radii (default: doubling from 1)")
-    p.add_argument("--blockdiag-size", type=int, default=126)
-    p.add_argument("--dense-cap", type=int, default=25000,
-                   help="largest dimension using exact dense matvecs")
+                   help="JSON file with flag defaults, keyed by RunConfig "
+                        "field name or flag dest; command-line flags "
+                        "override it")
+    for f in fields(RunConfig):
+        extra = dict(FLAG_EXTRAS.get(f.name, {}))
+        flag = extra.pop("flag", "--" + f.name.replace("_", "-"))
+        extra.setdefault("type", type(f.default))
+        p.add_argument(flag, dest=f.name, default=f.default, **extra)
+    p.add_argument("--sweep", type=_ints, default=None,
+                   help="comma-separated N list; runs a scaling sweep in "
+                        "--mode")
     # outputs
     p.add_argument("--out", type=str, default=None, help="report path")
     p.add_argument("--format", choices=["json", "csv"], default="json")
@@ -70,35 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> RunConfig:
-    return RunConfig(
-        kernel=args.kernel,
-        n_points=args.n_points,
-        distribution=args.distribution,
-        cheb_nodes=args.cheb_nodes,
-        epsilon=args.epsilon,
-        leaf_target=args.leaf_target,
-        d=args.d,
-        d_scaling=args.d_scaling,
-        mode=args.mode,
-        precond=args.precond,
-        precond_side=args.precond_side,
-        gmres_tol=args.gmres_tol,
-        max_iters=args.max_iters,
-        seed=args.seed,
-        depth=args.depth,
-        rpy_radius=args.rpy_radius,
-        viscosity=args.viscosity,
-        lattice_shape=tuple(int(v) for v in args.lattice.split(",")),
-        lattice_spacing=args.lattice_spacing,
-        body_radius=args.body_radius,
-        subdivision=args.subdivision,
-        shell_subdivisions=tuple(int(v) for v in
-                                 args.shell_subdivisions.split(",")),
-        shell_radii=(tuple(float(v) for v in args.shell_radii.split(","))
-                     if args.shell_radii else None),
-        blockdiag_size=args.blockdiag_size,
-        dense_cap=args.dense_cap,
-    )
+    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
 
 
 def main(argv=None) -> int:
@@ -119,7 +97,6 @@ def main(argv=None) -> int:
         print(f"scene written to {args.scene_out}")
 
     if args.dump_pattern:
-        from .experiments import build_pipeline
         pipe = build_pipeline(config)
         graph = assemble_extended_graph(pipe.ops)
         with open(args.dump_pattern, "w") as fh:
@@ -127,47 +104,36 @@ def main(argv=None) -> int:
         print(f"sparsity pattern written to {args.dump_pattern}")
 
     if args.sweep:
-        ns = [int(v) for v in args.sweep.split(",")]
+        ns = args.sweep
         reports = run_scaling(config, ns)
-        times = [r.timings["total"] for r in reports]
-        slope = fit_loglog_slope(ns, times)
-        print(f"scaling sweep over N={ns}")
+        slope = fit_loglog_slope(ns, [r.timings["total"] for r in reports])
+        print(f"scaling sweep over N={list(ns)} ({config.mode})")
         for n, r in zip(ns, reports):
             print(f"  N={n:>8d}  total={r.timings['total']:.3f}s  "
                   f"err={r.errors['relative_error']:.3e}  "
                   f"max_rank={r.rank_stats['max_basis_rank']}")
         print(f"fitted log-log slope: {slope:.3f}")
-        if args.out:
-            if args.format == "csv":
-                write_csv(reports, args.out)
-            else:
-                with open(args.out, "w") as fh:
-                    json.dump({"slope": slope,
-                               "runs": [r.to_dict() for r in reports]}, fh,
-                              indent=2)
-            print(f"report written to {args.out}")
-        return 0
-
-    if args.mode == "direct":
-        report = run_direct(config)
+        payload = {"slope": slope, "runs": [r.to_dict() for r in reports]}
     else:
-        report = run_iterative(config)
-
-    summary = {
-        "total_time": round(report.timings["total"], 4),
-        "relative_error": report.errors.get("relative_error"),
-        "relative_residual": report.errors.get("relative_residual"),
-    }
-    if report.iteration:
-        summary["iterations"] = report.iteration["iterations"]
-        summary["converged"] = report.iteration["converged"]
-    print(json.dumps(summary, indent=2))
+        report = run(config)
+        reports, payload = [report], report.to_dict()
+        summary = {
+            "total_time": round(report.timings["total"], 4),
+            "relative_error": report.errors.get("relative_error"),
+            "relative_residual": report.errors.get("relative_residual"),
+        }
+        if report.iteration:
+            summary["iterations"] = report.iteration["iterations"]
+            summary["converged"] = report.iteration["converged"]
+        print(json.dumps(summary, indent=2))
 
     if args.out:
         if args.format == "csv":
-            write_csv([report], args.out)
+            write_csv(reports, args.out)
         else:
-            report.to_json(args.out)
+            with open(args.out, "w") as fh:
+                json.dump(payload, fh, indent=2)
+                fh.write("\n")
         print(f"report written to {args.out}")
     return 0
 

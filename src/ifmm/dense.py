@@ -21,7 +21,7 @@ class OracleSizeError(ValueError):
 
 
 def dense_matrix(points: np.ndarray, kernel: Kernel,
-                 chunk: int = 2048) -> np.ndarray:
+                 chunk: int = 256) -> np.ndarray:
     """Assemble the full kernel matrix in row chunks (bounded scratch)."""
     n = len(points)
     bd = kernel.block_dim

@@ -1,10 +1,11 @@
 """Experiment runners: direct solves, preconditioned GMRES, scaling sweeps.
 
-Each runner builds the scene/tree/operators pipeline, runs the requested
-solver, and returns a RunReport. Problems small enough for the dense
-oracle are checked against it; larger ones measure residuals through the
-fast matvec. All randomness is seeded through the config, so reruns with
-the same config produce identical non-timing fields.
+`run` picks the runner `config.mode` names. Each runner builds the
+scene/tree/operators pipeline, runs its solver, and returns a RunReport.
+Problems small enough for the dense oracle are checked against it; larger
+ones measure residuals through the fast matvec. All randomness is seeded
+through the config, so reruns with the same config produce identical
+non-timing fields.
 """
 
 from __future__ import annotations
@@ -224,9 +225,18 @@ def run_iterative(config: RunConfig) -> RunReport:
                    iteration)
 
 
+def run(config: RunConfig) -> RunReport:
+    """Run the experiment `config.mode` names: "direct" or "gmres"."""
+    if config.mode == "direct":
+        return run_direct(config)
+    if config.mode == "gmres":
+        return run_iterative(config)
+    raise ValueError(f"unknown mode '{config.mode}': use 'direct' or 'gmres'")
+
+
 def run_scaling(config: RunConfig, n_values: list[int]) -> list[RunReport]:
-    """Direct-solver sweep over N at fixed n; one report per size."""
-    return [run_direct(replace(config, n_points=n)) for n in n_values]
+    """Sweep over N at fixed n in the config's mode; one report per size."""
+    return [run(replace(config, n_points=n)) for n in n_values]
 
 
 def fit_loglog_slope(ns: list[int], times: list[float]) -> float:
@@ -234,10 +244,3 @@ def fit_loglog_slope(ns: list[int], times: list[float]) -> float:
                         np.log(np.asarray(times, dtype=float)), 1)
     return float(coeffs[0])
 
-
-def run_stokes(config: RunConfig) -> RunReport:
-    """RPY mobility solve on a rigid-body scene via GMRES."""
-    cfg = replace(config, kernel="rpy", mode="gmres")
-    if cfg.distribution not in ("lattice", "shells"):
-        raise ValueError("stokes runs use the lattice or shells distribution")
-    return run_iterative(cfg)

@@ -41,16 +41,19 @@ def gmres(apply_A: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
     multiplies its outputs z_k and x = sum y_k z_k, so the residual history
     is the true residual of x for any preconditioner, linear or not. The
     outputs are kept: `precond` must return arrays it does not modify
-    later. A `b` that is not 1-D or not finite raises ValueError.
+    later. Without `precond` the solve is unpreconditioned and the trace's
+    side is "none". A `side` other than "left" or "right", or a `b` that
+    is not 1-D or not finite, raises ValueError.
     Zero-vector Arnoldi breakdown returns the current iterate (converged
     if the residual estimate met tol).
     """
     if tol <= 0 or max_iters < 1:
         raise ValueError("tol must be > 0 and max_iters >= 1")
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}; "
+                         "pass no precond for an unpreconditioned solve")
     if precond is None:
         side = "none"
-    if side not in ("left", "right", "none"):
-        raise ValueError("side must be 'left', 'right', or 'none'")
     b = np.asarray(b, dtype=float)
     if b.ndim != 1:
         raise ValueError(f"b must be 1-D, got shape {b.shape}")

@@ -31,14 +31,6 @@ class RunReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self, path=None, indent=2):
-        d = self.to_dict()
-        if path is None:
-            return json.dumps(d, indent=indent)
-        with open(path, "w") as fh:
-            json.dump(d, fh, indent=indent)
-            fh.write("\n")
-
     def csv_row(self) -> dict:
         row = {
             "n_points": self.config.get("n_points"),

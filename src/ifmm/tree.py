@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MAX_DEPTH = 12   # deepest tree the automatic depth choice builds
+# deepest tree whose Morton keys (3 bits per level) fit in an int64
+MAX_FORCED_DEPTH = 63 // 3
 
 
 class DegenerateGeometryError(ValueError):
@@ -121,8 +123,8 @@ def build_octree(points: np.ndarray, leaf_target: int,
 
     The depth is the smallest L >= 2 such that the mean population of the
     non-empty leaf cells is <= leaf_target, capped at MAX_DEPTH. Pass
-    `depth` to force a specific depth instead (any value >= 0, including
-    the degenerate single-cell tree). `root_box=(center, half_width)`
+    `depth` to force a specific depth instead (0 to MAX_FORCED_DEPTH,
+    including the degenerate single-cell tree). `root_box=(center, half_width)`
     overrides the bounding cube derived from the points.
 
     Returns the tree and the permutation that sorts points into leaf
@@ -167,8 +169,9 @@ def build_octree(points: np.ndarray, leaf_target: int,
                and len(points) / _count_occupied(points, center, half_width, depth)
                > leaf_target):
             depth += 1
-    elif depth < 0:
-        raise ValueError("depth must be >= 0")
+    elif not 0 <= depth <= MAX_FORCED_DEPTH:
+        raise ValueError(f"depth must be in [0, {MAX_FORCED_DEPTH}] "
+                         f"(MAX_FORCED_DEPTH), got {depth}")
 
     leaf_cells = _cell_indices(points, center, half_width, depth)
     keys = _morton_key(leaf_cells, depth)

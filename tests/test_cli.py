@@ -1,12 +1,15 @@
 import csv
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ifmm.cli import main
-from ifmm.experiments import (RunConfig, fit_loglog_slope, run_direct,
-                              run_iterative, run_scaling, run_stokes)
+from ifmm import cli, experiments
+from ifmm.cli import build_parser, config_from_args, main
+from ifmm.experiments import (RunConfig, fit_loglog_slope, run, run_direct,
+                              run_iterative, run_scaling)
 from ifmm.reports import validate_report
 
 
@@ -95,7 +98,7 @@ def test_run_stokes_small_lattice():
                        lattice_shape=(2, 2, 1), subdivision=1,
                        lattice_spacing=4.0, mode="gmres", precond="blockdiag",
                        blockdiag_size=126, gmres_tol=1e-8)
-    r = run_stokes(cfg)
+    r = run(cfg)
     validate_report(r.to_dict())
     assert r.iteration["converged"]
 
@@ -168,6 +171,70 @@ def test_cli_config_file(tmp_path):
     bad.write_text(json.dumps({"not_a_flag": 1}))
     with pytest.raises(SystemExit):
         main(["--config", str(bad)])
+
+
+def test_flag_defaults_are_run_config_defaults():
+    assert config_from_args(build_parser().parse_args([])) == RunConfig()
+
+
+def test_run_rejects_unknown_mode(monkeypatch):
+    def never(config):
+        raise AssertionError("pipeline built before the mode was checked")
+
+    monkeypatch.setattr(experiments, "build_pipeline", never)
+    with pytest.raises(ValueError, match="'direct' or 'gmres'"):
+        run(RunConfig(mode="bogus"))
+
+
+def test_cli_gmres_sweep_runs_gmres(tmp_path):
+    out = tmp_path / "sweep.json"
+    rc = main(["--mode", "gmres", "--precond", "ifmm", "--sweep", "300,600",
+               "--cheb-nodes", "2", "--leaf-target", "30", "--d", "1e-2",
+               "--out", str(out)])
+    assert rc == 0
+    runs = json.loads(out.read_text())["runs"]
+    assert [r["config"]["n_points"] for r in runs] == [300, 600]
+    for r in runs:
+        validate_report(r)
+        assert r["config"]["mode"] == "gmres"
+        assert r["iteration"]["iterations"] >= 1
+
+
+def test_cli_config_keys_are_field_names(tmp_path, monkeypatch):
+    class Ran(Exception):
+        pass
+
+    def capture(config):
+        raise Ran(config)
+
+    monkeypatch.setattr(cli, "run", capture)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"distribution": "lattice",
+                                    "lattice_shape": "2,2,1"}))
+    with pytest.raises(Ran) as ran:
+        main(["--config", str(cfg_path)])
+    assert ran.value.args[0].lattice_shape == (2, 2, 1)
+    # the flag name is not a key
+    cfg_path.write_text(json.dumps({"lattice": "2,2,1"}))
+    with pytest.raises(SystemExit):
+        main(["--config", str(cfg_path)])
+
+
+def readme_commands():
+    """Each `ifmm-bench ...` command in README.md, continuations joined,
+    as an argv without the program name."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    lines = text.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("ifmm-bench ")]
+
+
+def test_readme_cli_examples_parse():
+    commands = readme_commands()
+    assert len(commands) >= 5
+    parser = build_parser()
+    for argv in commands:
+        config_from_args(parser.parse_args(argv))
 
 
 def test_report_schema_rejects_missing_key():

@@ -138,6 +138,9 @@ def test_gmres_validates_arguments():
         gmres(lambda v: v, np.ones(3), tol=1e-8, max_iters=0)
     with pytest.raises(ValueError):
         gmres(lambda v: v, np.ones(3), precond=lambda v: v, side="middle")
+    # a preconditioner is never silently ignored
+    with pytest.raises(ValueError, match="'left' or 'right'"):
+        gmres(lambda v: v, np.ones(3), precond=lambda v: v, side="none")
 
 
 @pytest.mark.parametrize("b,match", [

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ifmm.tree import (DegenerateGeometryError, DuplicatePointsError,
-                       NonFiniteGeometryError, build_octree, compute_topology)
+from ifmm.tree import (MAX_FORCED_DEPTH, DegenerateGeometryError,
+                       DuplicatePointsError, NonFiniteGeometryError,
+                       build_octree, compute_topology)
 
 from conftest import UNIT_BOX, cell_grid_points
 
@@ -209,3 +210,15 @@ def test_forced_depth_zero_single_leaf():
     assert tree.depth == 0
     assert len(tree.leaves()) == 1
     assert tree.clusters[tree.leaves()[0]].size == 30
+
+
+def test_forced_depth_capped_at_morton_key_width():
+    # 3 key bits per level: depth 21 fills 63 bits of an int64 key, and one
+    # level more would wrap the keys and split the root
+    assert MAX_FORCED_DEPTH == 21
+    pts = np.random.default_rng(1).uniform(0, 1, (40, 3))
+    tree, _ = build_octree(pts, leaf_target=1, depth=MAX_FORCED_DEPTH)
+    assert len(tree.levels[0]) == 1
+    assert tree.clusters[tree.levels[0][0]].size == 40
+    with pytest.raises(ValueError, match="MAX_FORCED_DEPTH"):
+        build_octree(pts, leaf_target=1, depth=MAX_FORCED_DEPTH + 1)
