@@ -1,7 +1,6 @@
 """Inverse fast multipole method: an O(N) approximate direct solver and
 preconditioner for dense kernel matrices in hierarchical (H2) format."""
 
-from .dense import DenseProblem, assemble_dense, dense_cond, dense_eigs, dense_solve
 from .factor import IFMMFactorization, SingularPivotError, factorize
 from .graph import ExtendedGraph, assemble_extended_graph, estimate_sigma0, h2_dense
 from .h2 import H2Operators, chebyshev_operators, initialize_weights

@@ -44,7 +44,9 @@ FLAG_EXTRAS = {
     "shell_subdivisions": dict(type=_ints),
     "shell_radii": dict(type=_floats,
                         help="comma-separated radii (default: doubling from 1)"),
-    "dense_cap": dict(help="largest dimension using exact dense matvecs"),
+    "dense_cap": dict(help="largest dimension for which the dense matrix is "
+                           "built: the exact matvec and --precond blockdiag "
+                           "need it"),
 }
 
 
@@ -90,6 +92,8 @@ def main(argv=None) -> int:
             parser.error(f"unknown config keys: {sorted(unknown)}")
         parser.set_defaults(**defaults)
         args = parser.parse_args(argv)
+    if args.sweep and len(set(args.sweep)) < 2:
+        parser.error("--sweep needs at least two distinct N to fit a slope")
     config = config_from_args(args)
 
     if args.scene_out:

@@ -2,8 +2,10 @@
 
 `run` picks the runner `config.mode` names. Each runner builds the
 scene/tree/operators pipeline, runs its solver, and returns a RunReport.
-Problems small enough for the dense oracle are checked against it; larger
-ones measure residuals through the fast matvec. All randomness is seeded
+`config.dense_cap` is the one size rule for the dense matrix: runs of at
+most that many unknowns are checked against it, larger ones measure
+residuals through the fast matvec, and the block-diagonal preconditioner,
+cut from the dense matrix, refuses them. All randomness is seeded
 through the config, so reruns with the same config produce identical
 non-timing fields.
 """
@@ -167,22 +169,26 @@ def _report(config, pipe, fct, extra, t_sub, x_hat, x_true, b, apply_A,
                      edge_stats, errors, iteration)
 
 
-def _matvec_oracle(pipe: Pipeline, config: RunConfig):
-    """Dense exact matvec below the cap, fast hierarchical matvec above."""
+def known_solution(config: RunConfig):
+    """The pipeline, a seeded `x_true`, `b = A x_true`, the matvec that
+    made `b` and the dense matrix. At most `config.dense_cap` unknowns the
+    matvec is the exact dense one; above it, the fast hierarchical matvec,
+    and the dense matrix is None."""
+    pipe = build_pipeline(config)
+    rng = np.random.Generator(np.random.PCG64(config.seed + 1))
+    x_true = rng.standard_normal(pipe.dim)
     if pipe.dim <= config.dense_cap:
         A = dense_matrix(pipe.scene.points, pipe.kernel)
-        return (lambda v: A @ v), A
-    return (lambda v: h2_matvec(pipe.ops, v)), None
+        apply_A = lambda v: A @ v
+    else:
+        A = None
+        apply_A = lambda v: h2_matvec(pipe.ops, v)
+    return pipe, x_true, apply_A(x_true), apply_A, A
 
 
 def run_direct(config: RunConfig) -> RunReport:
     """Factorize once, solve once, compare against the known solution."""
-    pipe = build_pipeline(config)
-    rng = np.random.Generator(np.random.PCG64(config.seed + 1))
-    x_true = rng.standard_normal(pipe.dim)
-    apply_A, _ = _matvec_oracle(pipe, config)
-    b = apply_A(x_true)
-
+    pipe, x_true, b, apply_A, _ = known_solution(config)
     fct, extra = build_factorization(pipe, config)
     t0 = time.perf_counter()
     x_hat = fct.solve(b)
@@ -191,13 +197,9 @@ def run_direct(config: RunConfig) -> RunReport:
 
 
 def run_iterative(config: RunConfig) -> RunReport:
-    """GMRES with the configured preconditioner; counts iterations."""
-    pipe = build_pipeline(config)
-    rng = np.random.Generator(np.random.PCG64(config.seed + 1))
-    x_true = rng.standard_normal(pipe.dim)
-    apply_A, A_dense = _matvec_oracle(pipe, config)
-    b = apply_A(x_true)
-
+    """GMRES with the configured preconditioner; counts iterations. Blockdiag
+    cuts its blocks from the dense matrix, so it obeys `config.dense_cap`."""
+    pipe, x_true, b, apply_A, A_dense = known_solution(config)
     precond = None
     fct = None
     extra = {"t_graph": 0.0, "t_elimination": 0.0, "t_sigma0": 0.0}
@@ -206,7 +208,9 @@ def run_iterative(config: RunConfig) -> RunReport:
         precond = fct.solve
     elif config.precond == "blockdiag":
         if A_dense is None:
-            A_dense = dense_matrix(pipe.scene.points, pipe.kernel)
+            raise ValueError(f"precond 'blockdiag' needs the dense matrix, but "
+                             f"dimension {pipe.dim} exceeds dense_cap="
+                             f"{config.dense_cap}; raise dense_cap")
         t0 = time.perf_counter()
         precond = block_diag_preconditioner(A_dense, config.blockdiag_size)
         extra["t_elimination"] = time.perf_counter() - t0
@@ -240,6 +244,11 @@ def run_scaling(config: RunConfig, n_values: list[int]) -> list[RunReport]:
 
 
 def fit_loglog_slope(ns: list[int], times: list[float]) -> float:
+    """Least-squares slope of log(time) against log(N); needs at least two
+    distinct N."""
+    if len(set(ns)) < 2:
+        raise ValueError(f"a log-log slope needs at least two distinct N, "
+                         f"got {list(ns)}")
     coeffs = np.polyfit(np.log(np.asarray(ns, dtype=float)),
                         np.log(np.asarray(times, dtype=float)), 1)
     return float(coeffs[0])

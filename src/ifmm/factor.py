@@ -270,11 +270,11 @@ def factorize(graph: ExtendedGraph, epsilon: float, seed: int = 0,
 
     The graph is consumed: `factorize` pops every edge, and the top
     system is factored in place; a second call on it raises ValueError.
-    The graph borrows the operator blocks of `graph.ops` without copying
-    them; do not modify those arrays in place while it is in use. The
-    returned factor keeps no operator block: each elimination step
-    concatenates the edges it records into arrays of its own, and a
-    depth-0 root block, the caller's near block, is copied.
+    The graph borrows the operator blocks without copying them; do not
+    modify those arrays in place while it is in use. The returned factor
+    keeps no operator block: each elimination step concatenates the edges
+    it records into arrays of its own, and a depth-0 root block, the
+    caller's near block, is copied.
     """
     tree = graph.tree
     if any(graph.get_edge(graph.node_x[c], graph.node_x[c]) is None

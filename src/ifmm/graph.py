@@ -51,7 +51,6 @@ class ExtendedGraph:
     def __init__(self, ops: H2Operators):
         tree = ops.tree
         bd = ops.block_dim
-        self.ops = ops
         self.tree = tree
         self.topology = ops.topology
         self.block_dim = bd

@@ -75,11 +75,6 @@ class Octree:
     def leaves(self) -> list[int]:
         return self.levels[self.depth]
 
-    def inverse_perm(self) -> np.ndarray:
-        inv = np.empty_like(self.perm)
-        inv[self.perm] = np.arange(len(self.perm))
-        return inv
-
 
 @dataclass
 class ClusterTopology:

@@ -124,19 +124,23 @@ def test_criterion_10_sparsity_preserved(sweep_reports):
 def run_gmres_study(d, n_list, tol=1e-10, N=20_000, seed=0):
     pts = cube_uniform(N, seed=seed).points
     kern = benchmark_kernel(d)
-    A = dense_matrix(pts, kern)
+    # Factorize before the 3 GB dense matrix exists, so that factorization
+    # scratch does not stack on top of it. The freed scratch stays in the
+    # malloc heap, so the largest n goes first (the smaller factorizations
+    # fit in what it freed), and 64-row chunks keep the assembly's scratch
+    # small enough to fit there too.
+    fcts = {n: ifmm_preconditioner(pts, kern, n, seed=seed)
+            for n in sorted(n_list, reverse=True)}
+    A = dense_matrix(pts, kern, chunk=64)
     b = A @ np.random.default_rng(seed + 1).standard_normal(N)
     out = {}
     _, tr = gmres(lambda v: A @ v, b, tol=tol, max_iters=500)
     out["none"] = tr
     for n in n_list:
-        fct = ifmm_preconditioner(pts, kern, n, seed=seed)
         _, tr = gmres(lambda v: A @ v, b, tol=tol, max_iters=500,
-                      precond=fct.solve, side="right")
+                      precond=fcts[n].solve, side="right")
         out[f"ifmm{n}"] = tr
-        del fct
-        gc.collect()
-    del A
+    del A, fcts
     gc.collect()
     return out
 

@@ -8,8 +8,10 @@ import pytest
 
 from ifmm import cli, experiments
 from ifmm.cli import build_parser, config_from_args, main
+from ifmm.dense import dense_matrix
 from ifmm.experiments import (RunConfig, fit_loglog_slope, run, run_direct,
                               run_iterative, run_scaling)
+from ifmm.krylov import h2_matvec
 from ifmm.reports import validate_report
 
 
@@ -93,6 +95,28 @@ def test_run_scaling_and_slope():
     assert np.isfinite(slope)
 
 
+def test_fit_loglog_slope_needs_two_distinct_n():
+    for ns in ([1000], [1000, 1000]):
+        with pytest.raises(ValueError, match="two distinct N"):
+            fit_loglog_slope(ns, [0.5] * len(ns))
+
+
+def test_blockdiag_above_dense_cap_raises(monkeypatch):
+    sizes = []
+
+    def recording_dense_matrix(points, kernel, *args, **kw):
+        sizes.append(len(points))
+        return dense_matrix(points, kernel, *args, **kw)
+
+    monkeypatch.setattr(experiments, "dense_matrix", recording_dense_matrix)
+    cfg = RunConfig(n_points=600, cheb_nodes=2, d=1e-2, leaf_target=40,
+                    mode="gmres", precond="blockdiag", blockdiag_size=60,
+                    dense_cap=500)
+    with pytest.raises(ValueError, match="dense_cap=500"):
+        run(cfg)
+    assert 600 not in sizes
+
+
 def test_run_stokes_small_lattice():
     cfg = small_config(kernel="rpy", distribution="lattice",
                        lattice_shape=(2, 2, 1), subdivision=1,
@@ -135,6 +159,18 @@ def test_cli_sweep(tmp_path):
     assert len(data["runs"]) == 2
     for run in data["runs"]:
         validate_report(run)
+
+
+def test_cli_single_n_sweep_is_usage_error(monkeypatch):
+    def never(*args):
+        raise AssertionError("a run started before --sweep was checked")
+
+    monkeypatch.setattr(cli, "run_scaling", never)
+    monkeypatch.setattr(cli, "build_pipeline", never)
+    for sweep in ("1000", "1000,1000"):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--sweep", sweep, "--dump-pattern", "unused.json"])
+        assert exit_.value.code == 2
 
 
 def test_cli_scene_export_and_pattern(tmp_path):
@@ -243,3 +279,17 @@ def test_report_schema_rejects_missing_key():
     del d["timings"]["total"]
     with pytest.raises(ValueError):
         validate_report(d)
+
+
+def test_readme_library_example_runs():
+    """The first python block of README.md runs, and its solution meets the
+    block's own tolerance, 1e-3, within a factor of 10 through the fast
+    matvec."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    code = text.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(code, scope)
+    x, b = scope["x"], scope["b"]
+    assert x.shape == (5000,) and np.all(np.isfinite(x))
+    res = np.linalg.norm(h2_matvec(scope["ops"], x) - b) / np.linalg.norm(b)
+    assert res <= 10 * 1e-3

@@ -1,73 +1,36 @@
 import numpy as np
 import pytest
 
-from ifmm.dense import (DenseProblem, OracleSizeError, assemble_dense,
-                        dense_cond, dense_eigs, dense_matrix, dense_solve)
+from ifmm.dense import dense_matrix
 from ifmm.kernels import benchmark_kernel, cube_uniform, rpy_kernel, Scene
-
-
-def test_identity_problem():
-    p = DenseProblem(np.eye(4), np.arange(4.0), np.arange(4.0))
-    np.testing.assert_allclose(dense_solve(p), p.b)
-    assert dense_cond(p) == pytest.approx(1.0)
-
-
-def test_diag_condition_number():
-    p = DenseProblem(np.diag([4.0, 1.0]), np.ones(2), np.ones(2))
-    assert dense_cond(p) == pytest.approx(4.0)
 
 
 def test_benchmark_kernel_diagonal_is_one():
     scene = cube_uniform(50, seed=0)
-    prob = assemble_dense(scene, benchmark_kernel(1e-3))
-    np.testing.assert_allclose(np.diag(prob.A), 1.0)
+    A = dense_matrix(scene.points, benchmark_kernel(1e-3))
+    np.testing.assert_allclose(np.diag(A), 1.0)
 
 
 def test_assembled_matrix_symmetric():
     scene = cube_uniform(40, seed=1)
     for kern in (benchmark_kernel(1e-2), rpy_kernel(0.2)):
-        prob = assemble_dense(scene, kern)
-        np.testing.assert_allclose(prob.A, prob.A.T, atol=1e-14)
+        A = dense_matrix(scene.points, kern)
+        np.testing.assert_allclose(A, A.T, atol=1e-14)
 
 
 def test_two_point_offdiagonal():
     d = 0.05
     scene = Scene(np.array([[0.0, 0.0, 0.0], [2 * d, 0.0, 0.0]]), "pair")
-    prob = assemble_dense(scene, benchmark_kernel(d))
-    assert prob.A[0, 1] == pytest.approx(0.5)
-    assert prob.A[1, 0] == pytest.approx(0.5)
-
-
-def test_rhs_consistency_and_solve():
-    scene = cube_uniform(120, seed=2)
-    prob = assemble_dense(scene, benchmark_kernel(1e-2), seed=7)
-    np.testing.assert_allclose(prob.A @ prob.x_true, prob.b)
-    x = dense_solve(prob)
-    kappa = dense_cond(prob)
-    res = np.linalg.norm(prob.A @ x - prob.b) / np.linalg.norm(prob.b)
-    assert res <= 1e-10 * kappa
+    A = dense_matrix(scene.points, benchmark_kernel(d))
+    assert A[0, 1] == pytest.approx(0.5)
+    assert A[1, 0] == pytest.approx(0.5)
 
 
 def test_condition_number_grows_with_d():
-    scene = cube_uniform(1000, seed=3)
-    k_small = dense_cond(assemble_dense(scene, benchmark_kernel(1e-3)))
-    k_large = dense_cond(assemble_dense(scene, benchmark_kernel(1e-2)))
+    points = cube_uniform(1000, seed=3).points
+    k_small = np.linalg.cond(dense_matrix(points, benchmark_kernel(1e-3)))
+    k_large = np.linalg.cond(dense_matrix(points, benchmark_kernel(1e-2)))
     assert k_large > k_small
-
-
-def test_size_cap():
-    scene = cube_uniform(3000, seed=0)
-    with pytest.raises(OracleSizeError):
-        assemble_dense(scene, rpy_kernel(0.1), cap=6000)  # dim = 9000
-
-
-def test_eigs_symmetric_real():
-    scene = cube_uniform(60, seed=4)
-    prob = assemble_dense(scene, benchmark_kernel(1e-2))
-    ev = dense_eigs(prob)
-    assert ev.dtype.kind == "f"
-    ref = np.linalg.eigvalsh(prob.A)
-    np.testing.assert_allclose(np.sort(ev), np.sort(ref), rtol=1e-10)
 
 
 def test_dense_matrix_chunking_consistent():

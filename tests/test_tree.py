@@ -57,7 +57,7 @@ def test_permutation_round_trip():
     pts = np.random.default_rng(1).uniform(0, 1, (500, 3))
     tree, perm = build_octree(pts, leaf_target=20)
     assert np.array_equal(tree.points, pts[perm])
-    inv = tree.inverse_perm()
+    inv = np.argsort(perm)
     assert np.array_equal(tree.points[inv], pts)
     assert sorted(perm) == list(range(500))
 
