@@ -8,8 +8,7 @@ from .kernels import (Kernel, Scene, benchmark_kernel, concentric_shells,
                       cube_uniform, icosphere, nonsymmetric_kernel, rpy_kernel,
                       scaled_d, sphere_lattice, sphere_surface)
 from .krylov import IterationTrace, block_diag_preconditioner, gmres, h2_matvec
-from .lowrank import (BasisUpdate, LowRankFactor, truncated_svd,
-                      weighted_basis_union)
+from .lowrank import BasisUpdate, weighted_basis_union
 from .tree import (Cluster, ClusterTopology, DegenerateGeometryError,
                    DuplicatePointsError, NonFiniteGeometryError, Octree,
                    build_octree, compute_topology)

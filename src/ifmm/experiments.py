@@ -13,13 +13,13 @@ non-timing fields.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import kernels
 from .dense import dense_matrix
-from .factor import TIMING_KEYS, FactorStats, IFMMFactorization, factorize
+from .factor import FactorStats, IFMMFactorization, factorize
 from .graph import assemble_extended_graph
 from .h2 import H2Operators, chebyshev_operators, initialize_weights
 from .krylov import block_diag_preconditioner, gmres, h2_matvec
@@ -120,9 +120,9 @@ def build_factorization(pipe: Pipeline, config: RunConfig
     t_graph = time.perf_counter() - t0
     t0 = time.perf_counter()
     fct = factorize(graph, config.epsilon, seed=config.seed)
-    t_elim = time.perf_counter() - t0 - fct.timings["sigma0_estimation"]
-    extra = {"t_graph": t_graph, "t_elimination": t_elim,
-             "t_sigma0": fct.timings["sigma0_estimation"]}
+    t_sigma0 = fct.stats.sigma0_s
+    extra = {"t_graph": t_graph, "t_sigma0": t_sigma0,
+             "t_elimination": time.perf_counter() - t0 - t_sigma0}
     return fct, extra
 
 
@@ -141,23 +141,17 @@ def _report(config, pipe, fct, extra, t_sub, x_hat, x_true, b, apply_A,
                "total": pipe.t_init + extra["t_graph"] + extra["t_sigma0"]
                         + extra["t_elimination"] + t_sub}
     errors = {"relative_error": rel_err, "relative_residual": rel_res}
-    stats, factor_times = ((fct.stats, fct.timings) if fct is not None
-                           else (FactorStats(), dict.fromkeys(TIMING_KEYS, 0.0)))
+    stats = fct.stats if fct is not None else FactorStats()
     rank_stats = {
         "max_basis_rank": stats.max_basis_rank,
         "max_fill_rank": stats.max_fill_rank,
-        "per_level": [{"level": ls.level,
-                       "compressed_pairs": ls.compressed_pairs,
-                       "dropped_pairs": ls.dropped_pairs,
-                       "max_rank": ls.max_rank,
-                       "mean_rank": round(ls.mean_rank, 3),
-                       "compress_time": round(ls.compress_time, 6)}
+        "per_level": [{**asdict(ls), "dropped_mass_eps_sigma0":
+                       ls.dropped_mass / (fct.epsilon * fct.sigma0)}
                       for ls in stats.levels],
     }
     edge_stats = {"peak_edges": stats.peak_edges,
                   "n_clusters": stats.n_clusters,
                   "edge_bound_constant": stats.edge_bound_constant}
-    breakdown = {k: factor_times[k] for k in TIMING_KEYS}
     cfg = {"kernel": config.kernel, "n_points": pipe.ops.tree.n_points,
            "distribution": config.distribution, "cheb_nodes": config.cheb_nodes,
            "epsilon": config.epsilon, "leaf_target": config.leaf_target,
@@ -165,7 +159,7 @@ def _report(config, pipe, fct, extra, t_sub, x_hat, x_true, b, apply_A,
            "d": config.effective_d() if config.kernel == "benchmark" else None,
            "precond": config.precond, "precond_side": config.precond_side,
            "gmres_tol": config.gmres_tol, "max_iters": config.max_iters}
-    return RunReport(SCHEMA_VERSION, cfg, timings, breakdown, rank_stats,
+    return RunReport(SCHEMA_VERSION, cfg, timings, stats.timings, rank_stats,
                      edge_stats, errors, iteration)
 
 

@@ -40,13 +40,21 @@ getrs directly. `forward_sweep` (the test oracles' entry, on a plan
 recorded so far) and `IFMMFactorization.solve` run the same replay; the
 solve pulls the solution back by substitution, for any number of
 right-hand sides without refactorizing.
+
+`factorize` accounts for its time and its compression in one record per
+eliminated level, `LevelStats`, kept in `FactorStats.levels`: the seconds
+of each phase of the level (pivot, fill products, screen, unions,
+rebases, projected adds, merge), its fill census and dropped mass, and
+its edge peak and step bytes. `FactorStats` adds the sigma0 estimate and
+the top-level system; `IFMMFactorization.timings` sums the phases.
 """
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -64,33 +72,51 @@ class SingularPivotError(RuntimeError):
 
 
 @dataclass
-class FillinStats:
-    """Fill census of one level.
+class LevelStats:
+    """What eliminating one level cost, and what it compressed.
+
+    The `_s` fields are the seconds of each phase: `pivot_s` the edge
+    pops, pivot LU and Schur solve of each elimination, `products_s` the
+    fill products, `screen_s` the Frobenius screen of the well-separated
+    fills, `unions_s` the basis unions, `rebases_s` the rebases, `adds_s`
+    the projected adds of the kept fills, and `merge_s` the merge of the
+    level into its parent.
 
     A pair of well-separated clusters is compressed when one of its fills
-    passes the Frobenius screen, and dropped otherwise. `ranks` holds, for
-    each basis union, the rank it adds to its cluster (new rank minus old
+    passes the screen, and dropped otherwise. `dropped_mass` is the
+    Frobenius norm of all dropped fill, sqrt(sum ||F||_F^2), mirrors
+    included on a symmetric graph. `ranks` holds, for each basis union
+    (one per rebase), the rank it adds to its cluster (new rank minus old
     rank); it is negative when the union drops old directions whose
-    weights are at or below the threshold.
+    weights are at or below the threshold. `peak_edges` is the graph's
+    edge peak so far at the end of the level, and `step_bytes` the bytes
+    of the solve steps the level recorded.
     """
     level: int
+    pivot_s: float = 0.0
+    products_s: float = 0.0
+    screen_s: float = 0.0
+    unions_s: float = 0.0
+    rebases_s: float = 0.0
+    adds_s: float = 0.0
+    merge_s: float = 0.0
     compressed_pairs: int = 0
     dropped_pairs: int = 0
+    dropped_mass: float = 0.0
     ranks: list[int] = field(default_factory=list)
-    compress_time: float = 0.0
+    peak_edges: int = 0
+    step_bytes: int = 0
 
     @property
     def max_rank(self) -> int:
         return max(self.ranks) if self.ranks else 0
 
-    @property
-    def mean_rank(self) -> float:
-        return float(np.mean(self.ranks)) if self.ranks else 0.0
-
 
 @dataclass
 class FactorStats:
-    levels: list[FillinStats] = field(default_factory=list)
+    levels: list[LevelStats] = field(default_factory=list)
+    sigma0_s: float = 0.0    # the sigma0 estimate; 0 when sigma0 is given
+    top_s: float = 0.0       # the level-1 merge and the top-level LU
     peak_edges: int = 0
     n_clusters: int = 0
     max_basis_rank: int = 0
@@ -101,9 +127,13 @@ class FactorStats:
     def edge_bound_constant(self) -> float:
         return self.peak_edges / max(self.n_clusters, 1)
 
-
-TIMING_KEYS = ("lu_and_triangular_solves", "matmul_updates",
-               "lowrank_approximations", "operator_transfer")
+    @property
+    def timings(self) -> dict[str, float]:
+        """Seconds of each level phase summed over the levels, then
+        sigma0_s and top_s: together, all of `factorize`."""
+        out = {f.name: sum((getattr(ls, f.name) for ls in self.levels), 0.0)
+               for f in fields(LevelStats) if f.name.endswith("_s")}
+        return {**out, "sigma0_s": self.sigma0_s, "top_s": self.top_s}
 
 
 class _ElimStep(NamedTuple):
@@ -205,7 +235,10 @@ class IFMMFactorization:
     epsilon: float
     sigma0: float
     stats: FactorStats
-    timings: dict[str, float]
+
+    @property
+    def timings(self) -> dict[str, float]:
+        return self.stats.timings
 
     @property
     def dim(self) -> int:
@@ -285,35 +318,34 @@ def factorize(graph: ExtendedGraph, epsilon: float, seed: int = 0,
         raise ValueError("epsilon must be in (0, 1)")
     if sigma0 is not None and not (np.isfinite(sigma0) and sigma0 > 0):
         raise ValueError("sigma0 must be finite and positive")
-    timings = {k: 0.0 for k in TIMING_KEYS}
-    timings["sigma0_estimation"] = 0.0
-
+    stats = FactorStats(n_clusters=tree.n_clusters)
     if sigma0 is None:
         t0 = time.perf_counter()
         sigma0 = estimate_sigma0(graph, seed=seed)
-        timings["sigma0_estimation"] = time.perf_counter() - t0
+        stats.sigma0_s = time.perf_counter() - t0
     threshold = epsilon * sigma0
 
     replay = Replay.for_graph(graph)
-    stats = FactorStats(n_clusters=tree.n_clusters)
-
-    for level in range(tree.depth, 0, -1):
-        if level >= 2:
-            stats.levels.append(
-                eliminate_level(graph, level, threshold, replay, timings))
+    for level in range(tree.depth, 1, -1):
+        ls = eliminate_level(graph, level, threshold, replay)
         t0 = time.perf_counter()
         merge_to_parent(graph, level, replay)
-        timings["operator_transfer"] += time.perf_counter() - t0
+        ls.merge_s = time.perf_counter() - t0
+        ls.peak_edges = graph.peak_edges
+        stats.levels.append(ls)
 
-    # the root block is factored in place: merge_to_parent made it Fortran-
-    # ordered, except in a depth-0 tree, where it is the caller's near block
-    root = graph.node_x[tree.levels[0][0]]
+    # level 1 merges into the root's x node, whose self-edge is the top
+    # system; it is factored in place: the merge made it Fortran-ordered,
+    # except in a depth-0 tree, where it is the caller's near block
     t0 = time.perf_counter()
+    if tree.depth >= 1:
+        merge_to_parent(graph, 1, replay)
+    root = graph.node_x[tree.levels[0][0]]
     top = graph.pop_edge(root, root)
     if tree.depth == 0:
         top = np.array(top, order="F")
     top_lu = _lu(top, "top-level system")
-    timings["lu_and_triangular_solves"] += time.perf_counter() - t0
+    stats.top_s = time.perf_counter() - t0
 
     stats.peak_edges = graph.peak_edges
     stats.max_basis_rank = max((len(w) for w in graph.sigma_u.values()), default=0)
@@ -322,20 +354,21 @@ def factorize(graph: ExtendedGraph, epsilon: float, seed: int = 0,
     return IFMMFactorization(
         n_points=tree.n_points, block_dim=graph.block_dim, perm=tree.perm,
         replay=replay, root=root, top_lu=top_lu, epsilon=epsilon,
-        sigma0=sigma0, stats=stats, timings=timings)
+        sigma0=sigma0, stats=stats)
 
 
 def eliminate_level(graph: ExtendedGraph, level: int, threshold: float,
-                    replay: Replay, timings: dict) -> FillinStats:
+                    replay: Replay) -> LevelStats:
     """Eliminate the (x, z) pair of every cluster at `level`, Morton order,
-    appending one step per cluster to `replay`."""
-    stats = FillinStats(level)
+    appending one step per cluster to `replay`; returns the level's record,
+    whose merge and edge peak the caller fills in."""
+    stats = LevelStats(level)
     for cid in graph.tree.levels[level]:
-        _eliminate_cluster(graph, cid, threshold, replay, stats, timings)
+        _eliminate_cluster(graph, cid, threshold, replay, stats)
     return stats
 
 
-def _eliminate_cluster(graph, cid, threshold, replay, stats, timings):
+def _eliminate_cluster(graph, cid, threshold, replay, stats):
     nx = graph.node_x[cid]
     nz = graph.node_z[cid]
     ny = graph.node_y[cid]
@@ -370,6 +403,8 @@ def _eliminate_cluster(graph, cid, threshold, replay, stats, timings):
     col_blocks = [(a, cols[toffs[j]:toffs[j + 1]])
                   for j, (a, _) in enumerate(targets)]
     replay.steps.append(_ElimStep(xs, ys, lu_piv, src, tgt, rows, cols))
+    owned = (rows, src) if graph.symmetric else (rows, src, cols, tgt)
+    stats.step_bytes += sum(a.nbytes for a in owned + (lu_piv or ()))
     if graph.row_sources[nz] or graph.col_targets[nz]:
         raise AssertionError("z node unexpectedly has extra edges")
 
@@ -384,15 +419,14 @@ def _eliminate_cluster(graph, cid, threshold, replay, stats, timings):
     xcols = {b: X[:, offs[j]:offs[j + 1]] for j, b in enumerate(src_nodes)}
 
     graph.eliminated.add(cid)
-
-    timings["lu_and_triangular_solves"] += time.perf_counter() - t0
+    t1 = time.perf_counter()
+    stats.pivot_s += t1 - t0
 
     # F(a, b) = -E(a, x) X_b[:x] for a target a, and the z rows X_b[z:] for
     # the own multipole node, whose only column edge is -I on z. On a
     # symmetric graph F(b, a) = F(a, b)^T: only b at or after a is formed.
     # The x rows of X are negated once here, not every product after it
     # (negation is exact: the fills are the same).
-    t0 = time.perf_counter()
     np.negative(X[:size_x], out=X[:size_x])
     fills: dict[tuple[int, int], np.ndarray] = {}
     all_targets = col_blocks + [(ny, None)]
@@ -411,9 +445,9 @@ def _eliminate_cluster(graph, cid, threshold, replay, stats, timings):
                 graph.add_to_edge(a, b, F)
             else:
                 fills[(ca, cb)] = F
-    timings["matmul_updates"] += time.perf_counter() - t0
+    stats.products_s += time.perf_counter() - t1
 
-    redirect_fillin(graph, fills, threshold, stats, timings)
+    redirect_fillin(graph, fills, threshold, stats)
 
 
 def _pop_stacked(graph, node, ends, axis):
@@ -509,7 +543,7 @@ def _apply_rebase(graph, c, bu_u, bu_v):
     graph.set_edge(ny, nz, minus_eye)
 
 
-def redirect_fillin(graph, fills, threshold, stats, timings):
+def redirect_fillin(graph, fills, threshold, stats):
     """Fold one elimination's well-separated fills into the coupling edges.
 
     `fills` maps (target cluster, source cluster) to the fill block F
@@ -524,14 +558,20 @@ def redirect_fillin(graph, fills, threshold, stats, timings):
     adding it stores the mirror too.
     """
     t0 = time.perf_counter()
-    kept = {key: F for key, F in sorted(fills.items())
-            if np.linalg.norm(F) > threshold}
+    norms = {key: np.linalg.norm(F) for key, F in fills.items()}
+    kept = {key: F for key, F in sorted(fills.items()) if norms[key] > threshold}
     pairs = {(min(ca, cb), max(ca, cb)) for ca, cb in fills}
     kept_pairs = sorted({(min(ca, cb), max(ca, cb)) for ca, cb in kept})
     if any(cj in graph.eliminated and ck in graph.eliminated for cj, ck in pairs):
         raise AssertionError("both-eliminated fills are added, not redirected")
     stats.compressed_pairs += len(kept_pairs)
     stats.dropped_pairs += len(pairs) - len(kept_pairs)
+    # a symmetric graph drops each fill's mirror with it
+    dropped = sum(n * n for key, n in norms.items() if key not in kept)
+    stats.dropped_mass = math.hypot(
+        stats.dropped_mass, math.sqrt(dropped * (2 if graph.symmetric else 1)))
+    t1 = time.perf_counter()
+    stats.screen_s += t1 - t0
 
     # one union and one rebase per live cluster: fills whose target is c
     # extend U_c, fills whose source is c extend V_c
@@ -541,9 +581,13 @@ def redirect_fillin(graph, fills, threshold, stats, timings):
         bu_u, bu_v = _cluster_unions(
             graph, c, [F for (a, _), F in kept.items() if a == c],
             [F.T for (_, b), F in kept.items() if b == c], threshold)
+        t2 = time.perf_counter()
+        stats.unions_s += t2 - t1
         stats.ranks.append(bu_u.rank - bu_u.old_map.shape[1])
         _apply_rebase(graph, c, bu_u, bu_v)
         bus_u[c], bus_v[c] = bu_u, bu_v
+        t1 = time.perf_counter()
+        stats.rebases_s += t1 - t2
 
     # E'(y_a, y_b) = r_a E(y_a, y_b) t_b^T + W_a^T F W_b: the rebases made
     # the first term; W is the new U basis of a live target and the new V
@@ -555,9 +599,7 @@ def redirect_fillin(graph, fills, threshold, stats, timings):
         if b in bus_v:
             F = F @ bus_v[b].new_basis
         graph.add_to_edge(graph.node_y[a], graph.node_y[b], F)
-    dt = time.perf_counter() - t0
-    stats.compress_time += dt
-    timings["lowrank_approximations"] += dt
+    stats.adds_s += time.perf_counter() - t1
 
 
 def merge_to_parent(graph: ExtendedGraph, level: int, replay: Replay) -> None:

@@ -16,14 +16,6 @@ the same new basis as the fill's singular factors U * S would. A union
 asked for more directions (`min_rank`) than the inputs span takes the
 next complement columns of the same complete basis, so the U- and V-side
 bases of a cluster can be brought to equal rank without random numbers.
-
-`truncated_svd` keeps the singular triplets above a threshold as a
-`LowRankFactor` (U, sigma, V) with orthonormal U/V and non-increasing
-positive singular values; a zero matrix yields a rank-0 factor with empty
-arrays. It first screens on the Frobenius norm: since ||M||_2 <= ||M||_F,
-a block whose Frobenius norm is below the threshold yields rank 0 without
-an SVD. It is a public helper and a test reference; the factorization
-applies the same screen to each fill itself.
 """
 
 from __future__ import annotations
@@ -31,22 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass
-class LowRankFactor:
-    U: np.ndarray       # (m, k), orthonormal columns
-    sigma: np.ndarray   # (k,), non-increasing, > 0
-    V: np.ndarray       # (n, k), orthonormal columns
-
-    @property
-    def rank(self) -> int:
-        return len(self.sigma)
-
-    def matrix(self) -> np.ndarray:
-        if self.rank == 0:
-            return np.zeros((self.U.shape[0], self.V.shape[0]))
-        return (self.U * self.sigma) @ self.V.T
 
 
 @dataclass
@@ -59,23 +35,6 @@ class BasisUpdate:
     @property
     def rank(self) -> int:
         return self.new_basis.shape[1]
-
-
-def _empty_factor(m: int, n: int) -> LowRankFactor:
-    return LowRankFactor(np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0)))
-
-
-def truncated_svd(M: np.ndarray, abs_threshold: float) -> LowRankFactor:
-    """Partial SVD keeping exactly the singular triplets with sigma > threshold."""
-    M = np.asarray(M, dtype=float)
-    # ||M||_2 <= ||M||_F: below the threshold no singular value is above it.
-    # The slack leaves a block at the threshold to the SVD: the two norms of
-    # a rank-1 block are equal, and rounding decides which one is larger.
-    if M.size == 0 or np.linalg.norm(M) <= abs_threshold * (1.0 - 1e-10):
-        return _empty_factor(*M.shape)
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    k = int(np.sum(s > abs_threshold))
-    return LowRankFactor(U[:, :k].copy(), s[:k].copy(), Vt[:k].T.copy())
 
 
 def left_singular(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,9 +1,10 @@
 """Machine-readable run reports.
 
-A RunReport echoes the experiment configuration and carries timings, a
-breakdown of the elimination phase, rank statistics, residuals/errors,
-and the GMRES trace when iterative. Reports serialize to JSON (schema
-shipped in this package, version pinned) or to flat CSV rows.
+A RunReport echoes the experiment configuration and carries timings, the
+factorization's phase totals, one record per eliminated level (see
+`ifmm.factor.LevelStats`), residuals/errors, and the GMRES trace when
+iterative. Reports serialize to JSON (schema shipped in this package,
+version pinned) or to flat CSV rows.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -22,7 +23,7 @@ class RunReport:
     config: dict
     timings: dict            # initialization, sigma0_estimation, elimination,
                              # substitution, total
-    elimination_breakdown: dict
+    elimination_breakdown: dict   # FactorStats.timings
     rank_stats: dict
     edge_stats: dict
     errors: dict

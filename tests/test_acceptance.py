@@ -19,7 +19,7 @@ from ifmm.h2 import chebyshev_operators, initialize_weights
 from ifmm.kernels import (benchmark_kernel, concentric_shells, cube_uniform,
                           rpy_kernel, scaled_d, sphere_lattice)
 from ifmm.krylov import block_diag_preconditioner, gmres
-from ifmm.lowrank import truncated_svd, weighted_basis_union
+from ifmm.lowrank import left_singular, weighted_basis_union
 from ifmm.tree import build_octree, compute_topology
 
 
@@ -245,16 +245,16 @@ def test_criterion_11_property_suites():
     rng = np.random.default_rng(0)
     checks = []
 
-    # orthonormality and Eckart-Young on random matrices
+    # orthogonality and Eckart-Young of the SVD the unions run
     for _ in range(25):
         M = rng.standard_normal((12, 9))
-        s = np.linalg.svd(M, compute_uv=False)
+        W, s = left_singular(M)
         k = int(rng.integers(1, 9))
-        thr = 0.5 * (s[k - 1] + s[k]) if k < len(s) else 0.0
-        fac = truncated_svd(M, thr)
-        checks.append(fac.rank == k)
-        checks.append(np.allclose(fac.U.T @ fac.U, np.eye(k), atol=1e-10))
-        err = np.linalg.norm(M - fac.matrix(), 2)
+        checks.append(np.allclose(s, np.linalg.svd(M, compute_uv=False),
+                                  atol=1e-12))
+        checks.append(np.allclose(W.T @ W, np.eye(12), atol=1e-10))
+        Wk = W[:, :k]
+        err = np.linalg.norm(M - Wk @ (Wk.T @ M), 2)
         checks.append(abs(err - s[k]) <= 1e-10)
 
     # basis-union exactness in the lossless regime

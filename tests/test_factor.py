@@ -5,10 +5,10 @@ import pytest
 
 import ifmm.factor
 from ifmm.dense import dense_matrix
-from ifmm.factor import (TIMING_KEYS, FillinStats, Replay,
-                         SingularPivotError, _cluster_unions, _ElimStep,
-                         _eliminate_cluster, eliminate_level,
-                         factorize, forward_sweep, merge_to_parent)
+from ifmm.factor import (LevelStats, Replay, SingularPivotError,
+                         _cluster_unions, _ElimStep, _eliminate_cluster,
+                         eliminate_level, factorize, forward_sweep,
+                         merge_to_parent)
 from ifmm.graph import assemble_extended_graph, estimate_sigma0, h2_dense
 from ifmm.h2 import chebyshev_operators, initialize_weights
 from ifmm.kernels import (Kernel, benchmark_kernel, cube_uniform,
@@ -143,7 +143,7 @@ def test_fill_classification_matches_brute_force():
     initialize_weights(ops, topo)
     graph = assemble_extended_graph(ops)
 
-    replay, timings = Replay.for_graph(graph), {k: 0.0 for k in TIMING_KEYS}
+    replay = Replay.for_graph(graph)
     eliminated = set()
     for cid in tree.levels[2][:6]:
         # brute-force prediction: well-separated pairs among the neighbors
@@ -153,8 +153,8 @@ def test_fill_classification_matches_brute_force():
                 if j < k and not topo.are_neighbors(j, k) \
                         and not (j in eliminated and k in eliminated):
                     predicted.add((j, k))
-        stats = FillinStats(2)
-        _eliminate_cluster(graph, cid, 1e-13, replay, stats, timings)
+        stats = LevelStats(2)
+        _eliminate_cluster(graph, cid, 1e-13, replay, stats)
         eliminated.add(cid)
         assert stats.compressed_pairs + stats.dropped_pairs == len(predicted)
     # the very first (corner) cluster: all neighbors mutually adjacent
@@ -229,9 +229,9 @@ def test_redirect_preserves_schur_system(kernel):
     assert target is not None
 
     g = assemble_extended_graph(ops)
-    stats = FillinStats(tree.depth)
-    replay, timings = Replay.for_graph(g), {k: 0.0 for k in TIMING_KEYS}
-    _eliminate_cluster(g, target, 1e-13, replay, stats, timings)
+    stats = LevelStats(tree.depth)
+    replay = Replay.for_graph(g)
+    _eliminate_cluster(g, target, 1e-13, replay, stats)
     assert stats.compressed_pairs > 0
     assert_reduced_matches_unreduced(base, g, replay, {target}, b)
 
@@ -264,13 +264,13 @@ def test_batched_redirect_matches_dense_over_eliminations(monkeypatch, kernel):
     monkeypatch.setattr(ifmm.factor, "_apply_rebase", rebase_spy)
 
     g = assemble_extended_graph(ops)
-    stats = FillinStats(tree.depth)
-    replay, timings = Replay.for_graph(g), {k: 0.0 for k in TIMING_KEYS}
+    stats = LevelStats(tree.depth)
+    replay = Replay.for_graph(g)
     for cid in cids:
         rebased.clear()
         widths = {c: len(w) for c, w in g.sigma_u.items()}
         n_ranks = len(stats.ranks)
-        _eliminate_cluster(g, cid, 1e-13, replay, stats, timings)
+        _eliminate_cluster(g, cid, 1e-13, replay, stats)
         assert len(rebased) == len(set(rebased))
         # each union records the basis width it adds
         grown = [len(w) - widths[c] for c, w in g.sigma_u.items()
@@ -317,6 +317,17 @@ def test_factorize_calls_traced_names(monkeypatch):
     assert levels == [(lv, {lv}) for lv in range(tree.depth, 1, -1)]
     # one redirection per eliminated cluster
     assert calls["redirect_fillin"] == len(fct.replay.steps)
+    # and it reads these from the factor
+    timings = dict(fct.timings)
+    assert timings and all(isinstance(t, float) and t >= 0
+                           for t in timings.values())
+    assert [ls.level for ls in fct.stats.levels] == list(range(tree.depth, 1, -1))
+    for ls in fct.stats.levels:
+        assert isinstance(ls.compressed_pairs, int)
+        assert isinstance(ls.dropped_pairs, int)
+    assert isinstance(fct.stats.peak_edges, int) and fct.stats.peak_edges > 0
+    assert isinstance(fct.stats.max_fill_rank, int)
+    assert fct.stats.forced_rank_truncations == 0
 
 
 def test_nonsymmetric_lossless_matches_h2_dense_solve():
@@ -375,8 +386,8 @@ def test_graph_layout_follows_factorize():
     graph = assemble_extended_graph(ops)
     sigma0 = estimate_sigma0(graph, seed=0)
     sizes = list(graph.sizes)
-    replay, timings = Replay.for_graph(graph), {k: 0.0 for k in TIMING_KEYS}
-    eliminate_level(graph, tree.depth, 1e-6 * sigma0, replay, timings)
+    replay = Replay.for_graph(graph)
+    eliminate_level(graph, tree.depth, 1e-6 * sigma0, replay)
     merge_to_parent(graph, tree.depth, replay)
     assert len(graph.sizes) > len(sizes)
     assert graph.sizes[:len(sizes)] != sizes
@@ -459,8 +470,8 @@ def test_factorize_leaves_borrowed_operator_blocks_unchanged(kernel):
 def test_no_edges_between_well_separated_x_nodes():
     pts, kern, tree, topo, ops = setup_problem(500, leaf_target=4, d=0.2)
     graph = assemble_extended_graph(ops)
-    replay, timings = Replay.for_graph(graph), {k: 0.0 for k in TIMING_KEYS}
-    stats = eliminate_level(graph, tree.depth, 1e-4, replay, timings)
+    replay = Replay.for_graph(graph)
+    stats = eliminate_level(graph, tree.depth, 1e-4, replay)
     for (t, s) in graph.edges:
         ct, cs = graph.cluster_of[t], graph.cluster_of[s]
         if tree.clusters[ct].level == tree.clusters[cs].level \
@@ -478,8 +489,8 @@ def test_merge_single_child_is_relabeling():
     ops = chebyshev_operators(tree, topo, benchmark_kernel(0.1), 2)
     initialize_weights(ops, topo)
     graph = assemble_extended_graph(ops)
-    replay, timings = Replay.for_graph(graph), {k: 0.0 for k in TIMING_KEYS}
-    eliminate_level(graph, 3, 1e-12, replay, timings)
+    replay = Replay.for_graph(graph)
+    eliminate_level(graph, 3, 1e-12, replay)
     snapshot = {}
     for pid in tree.levels[2]:
         cy = graph.node_y[tree.clusters[pid].children[0]]
@@ -499,8 +510,8 @@ def test_merge_tiling_and_sizes():
     pts, kern, tree, topo, ops = setup_problem(600, leaf_target=4)
     assert tree.depth >= 3
     graph = assemble_extended_graph(ops)
-    replay, timings = Replay.for_graph(graph), {k: 0.0 for k in TIMING_KEYS}
-    eliminate_level(graph, tree.depth, 1e-12, replay, timings)
+    replay = Replay.for_graph(graph)
+    eliminate_level(graph, tree.depth, 1e-12, replay)
     L = tree.depth
     snapshot = {(t, s): blk.copy() for (t, s), blk in graph.edges.items()
                 if graph.kinds[t] == "y" and graph.kinds[s] == "y"
@@ -579,6 +590,22 @@ def test_dropped_fill_means_no_rebase(monkeypatch):
     fct = factorize(graph, epsilon=0.9, seed=0)
     assert unions == []
     assert all(ls.compressed_pairs == 0 for ls in fct.stats.levels)
+
+
+@pytest.mark.parametrize("kernel", [benchmark_kernel(1e-2), nonsymmetric_kernel()],
+                         ids=["benchmark", "nonsymmetric"])
+def test_dropped_mass_within_threshold(kernel):
+    # every dropped fill has ||F||_F <= threshold, and a dropped pair has at
+    # most two: F(a, b) and F(b, a), which on a symmetric graph is a mirror
+    pts, kern, tree, topo, ops = setup_problem(500, leaf_target=3, kernel=kernel)
+    fct = factorize(assemble_extended_graph(ops), epsilon=1e-4, seed=0)
+    threshold = fct.epsilon * fct.sigma0
+    assert any(ls.dropped_pairs for ls in fct.stats.levels)
+    for ls in fct.stats.levels:
+        if ls.dropped_pairs:
+            assert 0 < ls.dropped_mass <= threshold * np.sqrt(2 * ls.dropped_pairs)
+        else:
+            assert ls.dropped_mass == 0.0
 
 
 def test_edge_counter_tracks_peak():
@@ -669,9 +696,9 @@ def test_rebased_multipole_rows_have_zero_rhs(monkeypatch, kernel):
     logs, checked = [], []
     eliminate, rebase = ifmm.factor.eliminate_level, ifmm.factor._apply_rebase
 
-    def level_spy(graph, level, threshold, replay, timings):
+    def level_spy(graph, level, threshold, replay):
         logs.append(replay)
-        return eliminate(graph, level, threshold, replay, timings)
+        return eliminate(graph, level, threshold, replay)
 
     def rebase_spy(graph, c, *args):
         ny = graph.node_y[c]

@@ -1,97 +1,7 @@
 import numpy as np
 import pytest
 
-from ifmm.lowrank import left_singular, truncated_svd, weighted_basis_union
-
-
-def check_factor(fac, tol=1e-10):
-    if fac.rank:
-        assert np.allclose(fac.U.T @ fac.U, np.eye(fac.rank), atol=tol)
-        assert np.allclose(fac.V.T @ fac.V, np.eye(fac.rank), atol=tol)
-        assert np.all(np.diff(fac.sigma) <= 1e-15 * fac.sigma[0])
-        assert np.all(fac.sigma > 0)
-
-
-def test_truncated_svd_identity():
-    fac = truncated_svd(np.eye(3), 0.0)
-    assert fac.rank == 3
-    np.testing.assert_allclose(fac.sigma, [1, 1, 1])
-    check_factor(fac)
-
-
-def test_truncated_svd_rank_one():
-    rng = np.random.default_rng(0)
-    u = rng.standard_normal(8)
-    v = rng.standard_normal(6)
-    u /= np.linalg.norm(u)
-    v /= np.linalg.norm(v)
-    fac = truncated_svd(np.outer(u, v), 1e-12)
-    assert fac.rank == 1
-    assert fac.sigma[0] == pytest.approx(1.0)
-
-
-def test_truncated_svd_zero_matrix():
-    fac = truncated_svd(np.zeros((4, 5)), 0.0)
-    assert fac.rank == 0
-    assert fac.U.shape == (4, 0) and fac.V.shape == (5, 0)
-
-
-def test_truncated_svd_error_matches_discarded_sigma():
-    rng = np.random.default_rng(3)
-    M = rng.standard_normal((20, 15))
-    s_full = np.linalg.svd(M, compute_uv=False)
-    thr = 0.5 * (s_full[6] + s_full[7])  # keep exactly 7
-    fac = truncated_svd(M, thr)
-    assert fac.rank == 7
-    err = np.linalg.norm(M - fac.matrix(), 2)
-    assert err == pytest.approx(s_full[7], abs=1e-10)
-
-
-def test_frobenius_screen_keeps_svd_rank(monkeypatch):
-    rng = np.random.default_rng(17)
-    # rank-1 blocks have sigma_1 == ||M||_F, so rounding decides the ties:
-    # for some of these the computed sigma_1 exceeds the computed norm
-    mats = [np.outer(rng.standard_normal(m), rng.standard_normal(n))
-            for m, n in rng.integers(1, 40, size=(12, 2))]
-    mats += [rng.standard_normal((12, 9)),
-             np.outer(rng.standard_normal(20), rng.standard_normal(15))
-             + 1e-3 * rng.standard_normal((20, 15))]
-    cases = []
-    for M in mats:
-        fro = np.linalg.norm(M)
-        s = np.linalg.svd(M, full_matrices=False)[1]  # the unscreened call
-        for scale in (1 + 1e-9, 1 + 1e-15, 1.0, 1 - 1e-15, 1 - 1e-9, 0.5, 1e-3):
-            thr = scale * fro  # ||M||_F just below, at, just above thr
-            cases.append((M, thr, int(np.sum(s > thr))))
-
-    calls = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd",
-                        lambda *a, **k: calls.append(1) or svd(*a, **k))
-    for M, thr, ref in cases:
-        before = len(calls)
-        fac = truncated_svd(M, thr)
-        assert fac.rank == ref, (M.shape, thr / np.linalg.norm(M))
-        check_factor(fac)
-        if thr > 1.001 * np.linalg.norm(M):
-            assert len(calls) == before  # screened: no SVD was run
-    assert 0 < len(calls) < len(cases)
-
-
-def test_eckart_young_many_random():
-    rng = np.random.default_rng(9)
-    for trial in range(100):
-        m, n = rng.integers(3, 18, size=2)
-        M = rng.standard_normal((m, n))
-        s = np.linalg.svd(M, compute_uv=False)
-        k = int(rng.integers(1, min(m, n) + 1))
-        thr = 0.5 * (s[k - 1] + s[k]) if k < len(s) else 0.5 * s[k - 1]
-        fac = truncated_svd(M, thr)
-        assert fac.rank == k
-        err = np.linalg.norm(M - fac.matrix(), 2)
-        expect = s[k] if k < len(s) else 0.0
-        assert err == pytest.approx(expect, abs=1e-10)
-        check_factor(fac)
+from ifmm.lowrank import left_singular, weighted_basis_union
 
 
 @pytest.mark.parametrize("shape", [(27, 516), (126, 40)], ids=["wide", "tall"])
