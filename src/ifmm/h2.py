@@ -6,8 +6,12 @@ point values, parent-to-child transfer matrices re-expand one grid on the
 next, and coupling blocks are kernel evaluations between two cells'
 grids. An SVD pass orthonormalizes every basis and absorbs the residual
 factors into the couplings, so each cluster carries a single reduced
-multipole rank. Vector kernels are handled by Kronecker expansion of the
-scalar interpolation.
+multipole rank. The couplings are evaluated in one kernel call per target
+cluster per level: its grid against its partners' grids side by side (in
+runs of at most COUPLING_ENTRIES entries), reduced on the left by one
+product and on the right per pair, straight into the level's stack.
+Vector kernels are handled by Kronecker expansion of the scalar
+interpolation.
 
 The extended sparse graph introduces, per cluster at levels >= 2, a local
 variable z (incoming far field) and a multipole variable y (outgoing far
@@ -39,6 +43,7 @@ from .tree import ClusterTopology, Octree
 
 SYMMETRY_RTOL = 1e-12  # near blocks of a kernel marked symmetric
 SYMMETRY_POINTS = 4    # points per side of the off-diagonal symmetry check
+COUPLING_ENTRIES = 1 << 20  # entries of one coupling kernel call (8 MiB)
 
 
 def cheb_nodes(n: int) -> np.ndarray:
@@ -246,6 +251,10 @@ def chebyshev_operators(tree: Octree, topology: ClusterTopology, kernel: Kernel,
     K(Q, P)^T on at most SYMMETRY_POINTS points per side (this catches a
     mislabelled kernel when every leaf holds one point); otherwise a
     ValueError asks for `symmetric=False`.
+
+    Every `kernel.block(P, Q)` result must have shape
+    (len(P) * block_dim, len(Q) * block_dim); otherwise a ValueError names
+    the kernel and the expected shape.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -290,14 +299,37 @@ def chebyshev_operators(tree: Octree, topology: ClusterTopology, kernel: Kernel,
                 transfer_u[c] = basis[row:row + rank[c]]
                 row += rank[c]
 
+    def kernel_block(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+        B = kernel.block(P, Q)
+        if B.shape != (len(P) * bd, len(Q) * bd):
+            raise ValueError(
+                f"kernel {kernel.name!r} returned a block of shape {B.shape} "
+                f"for {len(P)} x {len(Q)} points; expected "
+                f"{(len(P) * bd, len(Q) * bd)} (block_dim {bd})")
+        return B
+
+    # one kernel call and one left reduction per target and run of partners;
+    # the cap keeps a wide grid (n = 4, 3x3 blocks, 189 partners) from
+    # allocating a 55-MiB block plus the kernel's temporaries at once
+    width = n ** 3 * bd
+    run = max(1, COUPLING_ENTRIES // (width * width))
     coupling_levels: list[LevelCouplings] = []
     for level in range(2, tree.depth + 1):
         ids = tree.levels[level]
-        pairs = [(i, j) for i in ids for j in topology.interactions[i]
-                 if not (kernel.symmetric and j < i)]
-        lev = LevelCouplings.empty(ids, pairs, rank, kernel.symmetric)
-        for (i, j), K in lev.blocks():
-            K[...] = reduce_map[i] @ kernel.block(grids[i], grids[j]) @ reduce_map[j].T
+        partners = {i: [j for j in topology.interactions[i]
+                        if not (kernel.symmetric and j < i)] for i in ids}
+        lev = LevelCouplings.empty(
+            ids, [(i, j) for i in ids for j in partners[i]], rank,
+            kernel.symmetric)
+        slot = dict(lev.blocks())
+        for i in ids:
+            for r in range(0, len(partners[i]), run):
+                js = partners[i][r:r + run]
+                L = reduce_map[i] @ kernel_block(
+                    grids[i], np.concatenate([grids[j] for j in js]))
+                for t, j in enumerate(js):
+                    np.matmul(L[:, t * width:(t + 1) * width], reduce_map[j].T,
+                              out=slot[(i, j)])
         coupling_levels.append(lev)
     coupling = {key: K for lev in coupling_levels for key, K in lev.views()}
 
@@ -315,7 +347,7 @@ def chebyshev_operators(tree: Octree, topology: ClusterTopology, kernel: Kernel,
         pi = tree.points[ci.start:ci.stop]
         row_leaves = [j for j in topology.neighbors[i]
                       if j >= i or not kernel.symmetric]
-        S = kernel.block(pi, np.concatenate(
+        S = kernel_block(pi, np.concatenate(
             [tree.points[cl[j].start:cl[j].stop] for j in row_leaves]))
         a = 0
         for j in row_leaves:
@@ -331,7 +363,7 @@ def chebyshev_operators(tree: Octree, topology: ClusterTopology, kernel: Kernel,
                 j = row_leaves[1]
                 pj = tree.points[cl[j].start:cl[j].stop]
                 check_symmetric(near[(i, j)][:k * bd, :k * bd],
-                                kernel.block(pj[:k], pi[:k]).T,
+                                kernel_block(pj[:k], pi[:k]).T,
                                 f"the near block of leaves {i} and {j}")
         near_rows.append(NearRow(
             slice(ci.start * bd, ci.stop * bd),

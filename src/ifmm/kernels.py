@@ -30,7 +30,11 @@ class Kernel:
 
     `evaluate(ri, rj)` returns a block_dim x block_dim block; `block(P, Q)`
     assembles the full (len(P)*bd) x (len(Q)*bd) matrix between two point
-    sets, vectorized. Ordering is point-major: row p*bd + a. `symmetric`
+    sets, vectorized. Ordering is point-major: row p*bd + a. `block` must
+    be point-pairwise: the block against a concatenation of point sets is
+    the concatenation of the blocks against each, since the operator
+    builder evaluates a cluster against all its partners in one call and
+    slices the result (it checks the shape, not the values). `symmetric`
     marks kernels with block(P, Q) == block(Q, P).T, which the builders
     exploit to share transposed blocks and keep U = V exactly.
     """
@@ -87,11 +91,17 @@ def rpy_kernel(radius: float, viscosity: float = 1.0) -> Kernel:
                      c0 * (3.0 * r / (32.0 * a)))
         g = np.where(r == 0.0, 0.0, g)
         rhat = diff / rs[..., None]
-        outer = rhat[..., :, None] * rhat[..., None, :]
-        eye = np.eye(3)
-        blocks = f[..., None, None] * eye + g[..., None, None] * outer
-        m, n = len(P), len(Q)
-        return blocks.transpose(0, 2, 1, 3).reshape(3 * m, 3 * n)
+        # out[p, i, q, j] is entry (i, j) of the 3x3 block of points p and q
+        out = np.empty((len(P), 3, len(Q), 3))
+        for i in range(3):
+            for j in range(i, 3):
+                gij = np.multiply(g, rhat[..., i] * rhat[..., j],
+                                  out=out[:, i, :, j])
+                if i == j:
+                    gij += f
+                else:
+                    out[:, j, :, i] = gij
+        return out.reshape(3 * len(P), 3 * len(Q))
 
     return Kernel("rpy", 3, {"radius": radius, "viscosity": viscosity}, block)
 

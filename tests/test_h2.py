@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ifmm import h2
 from ifmm.dense import dense_matrix
 from ifmm.graph import assemble_extended_graph, estimate_sigma0, h2_dense
 from ifmm.h2 import chebyshev_operators, initialize_weights
@@ -380,3 +381,51 @@ def test_kernel_wrongly_marked_symmetric_raises_on_one_point_leaves():
         tree, topo, Kernel("row-scaled", 1, {}, block, symmetric=False), n=2)
     assert any(not np.allclose(S, ops.near[(j, i)].T)
                for (i, j), S in ops.near.items() if i != j)
+
+
+def test_malformed_kernel_block_raises():
+    # a 3x3-block kernel whose block() returns scalar blocks: the builder
+    # names the kernel and the shape it expected
+    bad = Kernel("scalar-as-vector", 3, {}, benchmark_kernel(0.05).block)
+    tree, _ = build_octree(cube_uniform(400, seed=0).points, 40)
+    topo = compute_topology(tree)
+    with pytest.raises(ValueError, match=r"'scalar-as-vector'.*expected \(24, "):
+        chebyshev_operators(tree, topo, bad, n=2)
+
+
+def counting(kern):
+    calls = []
+
+    def block(P, Q):
+        calls.append((len(P), len(Q)))
+        return kern.block(P, Q)
+
+    return Kernel(kern.name, kern.block_dim, kern.params, block,
+                  kern.symmetric), calls
+
+
+@pytest.mark.parametrize("kern", [benchmark_kernel(1e-2), nonsymmetric_kernel()],
+                         ids=["symmetric", "nonsymmetric"])
+def test_coupling_kernel_calls_per_cluster(kern, monkeypatch):
+    # one kernel call per leaf near row, per symmetry check and per cluster
+    # and entry-cap run at levels >= 2, not one per coupling pair; a
+    # smaller cap splits the runs and leaves every coupling unchanged
+    n = 2
+    tree, _ = build_octree(cube_uniform(1000, seed=4).points, 4, depth=3)
+    topo = compute_topology(tree)
+    stored = {i: [j for j in topo.interactions[i] if j > i or not kern.symmetric]
+              for level in tree.levels[2:] for i in level}
+    leaves = len(tree.leaves())
+    ops = {}
+    for cap in (h2.COUPLING_ENTRIES, 2 * 8 * 8):
+        monkeypatch.setattr(h2, "COUPLING_ENTRIES", cap)
+        per_run = max(1, cap // (n ** 3) ** 2)
+        runs = sum(-(-len(js) // per_run) for js in stored.values())
+        counted, calls = counting(kern)
+        ops[cap] = chebyshev_operators(tree, topo, counted, n)
+        assert len(calls) <= leaves * (2 if kern.symmetric else 1) + runs
+        assert runs < sum(map(len, stored.values()))
+    a, b = ops.values()
+    assert a.coupling.keys() == b.coupling.keys()
+    for key, K in a.coupling.items():
+        np.testing.assert_array_equal(K, b.coupling[key])

@@ -42,6 +42,39 @@ def test_rpy_self_block():
                                np.eye(3) / (6 * np.pi * eta * a), rtol=1e-14)
 
 
+def rpy_pair(ri, rj, a, eta):
+    """The RPY 3x3 block of one point pair, written out branch by branch."""
+    c = 1.0 / (6.0 * np.pi * eta * a)
+    d = np.asarray(ri, float) - np.asarray(rj, float)
+    r = np.sqrt(d @ d)
+    if r == 0.0:
+        return c * np.eye(3)
+    if r > 2.0 * a:
+        f = c * (3.0 * a / (4.0 * r) + a ** 3 / (2.0 * r ** 3))
+        g = c * (3.0 * a / (4.0 * r) - 3.0 * a ** 3 / (2.0 * r ** 3))
+    else:
+        f = c * (1.0 - 9.0 * r / (32.0 * a))
+        g = c * 3.0 * r / (32.0 * a)
+    return f * np.eye(3) + g * np.outer(d / r, d / r)
+
+
+def test_rpy_block_matches_per_pair_formula():
+    # a rectangular call whose pairs hit every branch: far, overlap, r = 2a
+    # exactly (the overlap branch) and r = 0; the blocks are point-major
+    a, eta = 0.25, 1.3
+    P = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [0.1, -0.2, 0.3],
+                  [2.0, 2.0, 2.0]])
+    Q = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.2, -0.1, 0.25],
+                  [3.0, 1.0, -1.0], [1.0, 2.0, 3.0]])
+    r = np.linalg.norm(P[:, None] - Q[None], axis=-1)
+    assert (r == 0).any() and (r == 2 * a).any()
+    assert ((r > 0) & (r < 2 * a)).any() and (r > 2 * a).any()
+    M = rpy_kernel(a, eta).block(P, Q)
+    assert M.shape == (3 * len(P), 3 * len(Q))
+    ref = np.block([[rpy_pair(p, q, a, eta) for q in Q] for p in P])
+    np.testing.assert_allclose(M, ref, rtol=1e-14, atol=0)
+
+
 def test_rpy_block_symmetry():
     k = rpy_kernel(0.25)
     rng = np.random.default_rng(5)
