@@ -25,7 +25,8 @@ rebase rewrites only its y node's rows.
 Non-symmetric kernels take the two-sided path.
 
 The factorization records its solve plan as it runs, as a `Replay` on
-one vector: the leaf x nodes own the first segments, in the permuted
+one vector of shape (size,) or (size, m), a block of m right-hand sides
+replayed once: the leaf x nodes own the first segments, in the permuted
 point order (so a right-hand side is copied straight in), and each y
 node the next free one at its cluster's elimination. A merge computes
 nothing and records nothing: it renames the children's unknowns, so a
@@ -34,12 +35,13 @@ elimination appends a step holding its pivot factors and popped edges
 (the row edges as one array, and on the two-sided path the column edges
 as another; on the symmetric path the column edges are the transposes of
 the rows). Going forward, an elimination is one pivot solve and one
-matrix-vector product scattered into its targets' segments; going back,
-one gathered product and one pivot solve. Pivot solves call LAPACK
-getrs directly. `forward_sweep` (the test oracles' entry, on a plan
-recorded so far) and `IFMMFactorization.solve` run the same replay; the
-solve pulls the solution back by substitution, for any number of
-right-hand sides without refactorizing.
+product scattered into its targets' segments; going back, one gathered
+product and one pivot solve. On a block each of these acts on all m
+columns at once: getrs (called directly) takes them as one multi-column
+solve and the products are matrix-matrix. `forward_sweep` (the test
+oracles' entry, on a plan recorded so far) and `IFMMFactorization.solve`
+run the same replay; the solve pulls the solution back by substitution,
+for any number of right-hand sides without refactorizing.
 
 `factorize` accounts for its time and its compression in one record per
 eliminated level, `LevelStats`, kept in `FactorStats.levels`: the seconds
@@ -148,7 +150,7 @@ class _ElimStep(NamedTuple):
 
 @dataclass(slots=True)
 class Replay:
-    """The solve plan on one vector of length `size`.
+    """The solve plan on one vector of shape (size,) or (size, m).
 
     Every node a step touches owns the fixed segment `segments[node]`: a
     leaf x node from the start, a y node from its cluster's elimination,
@@ -159,7 +161,8 @@ class Replay:
     segment. `backward` takes the vector with the solution of the
     remaining nodes in their segments and substitutes back through the
     steps in reverse, leaving each eliminated x node's solution in its
-    segment.
+    segment. A (size, m) vector is m columns pushed through each step at
+    once.
     """
     segments: dict[int, slice]
     size: int
@@ -187,18 +190,21 @@ class Replay:
                                for s in segs] or [np.zeros(0, np.int32)])
 
     def forward(self, v: np.ndarray) -> None:
+        tail = v.shape[1:]
         for xs, ys, lu_piv, _, tgt, _, fwd in self.steps:
             sx = xs.stop - xs.start
-            g = np.zeros(sx + ys.stop - ys.start)
+            # Fortran order: getrs takes a block as one multi-column solve
+            g = np.zeros((sx + ys.stop - ys.start,) + tail, order="F")
             g[:sx] = v[xs]
             g = _pivot_solve(lu_piv, g)
             v[tgt] -= fwd @ g[:sx]
             v[ys] = g[sx:]
 
     def backward(self, v: np.ndarray) -> None:
+        tail = v.shape[1:]
         for xs, ys, lu_piv, src, _, rows, _ in reversed(self.steps):
             sx = xs.stop - xs.start
-            r = np.empty(sx + ys.stop - ys.start)
+            r = np.empty((sx + ys.stop - ys.start,) + tail, order="F")
             np.subtract(v[xs], rows @ v[src], out=r[:sx])
             r[sx:] = v[ys]
             v[xs] = _pivot_solve(lu_piv, r)[:sx]
@@ -247,24 +253,27 @@ class IFMMFactorization:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve A x = b (original point ordering) using the stored factor.
 
-        Raises ValueError unless b has shape (dim,) and finite entries.
+        b has shape (dim,) or (dim, m); a block is replayed once, every
+        step acting on all m columns. Raises ValueError for any other
+        shape and for non-finite entries.
         """
         b = np.asarray(b, dtype=float)
-        if b.shape != (self.dim,):
-            raise ValueError(f"rhs must have shape ({self.dim},)")
+        if b.ndim not in (1, 2) or b.shape[0] != self.dim:
+            raise ValueError(f"expected shape ({self.dim},) or ({self.dim}, m), "
+                             f"got {b.shape}")
         if not np.isfinite(b).all():
             raise ValueError("rhs must be finite (it has nan or inf entries)")
-        n, bd = self.n_points, self.block_dim
+        n, bd, tail = self.n_points, self.block_dim, b.shape[1:]
         # the leaf x segments tile [0, dim) in the permuted point order
-        v = np.zeros(self.replay.size)
-        v[:self.dim] = b.reshape(n, bd)[self.perm].ravel()
+        v = np.zeros((self.replay.size,) + tail)
+        v[:self.dim] = b.reshape(n, bd, *tail)[self.perm].reshape(self.dim, *tail)
         self.replay.forward(v)
         rs = self.replay.segments[self.root]
         v[rs] = _pivot_solve(self.top_lu, v[rs])
         self.replay.backward(v)
-        out = np.empty((n, bd))
-        out[self.perm] = v[:self.dim].reshape(n, bd)
-        return out.ravel()
+        out = np.empty((n, bd) + tail)
+        out[self.perm] = v[:self.dim].reshape(n, bd, *tail)
+        return out.reshape(b.shape)
 
 
 def _pivot_solve(lu_piv, b):

@@ -81,15 +81,15 @@ def rpy_kernel(radius: float, viscosity: float = 1.0) -> Kernel:
     def block(P, Q):
         diff = P[:, None, :] - Q[None, :, :]
         r = np.sqrt(np.sum(diff * diff, axis=-1))
-        far = r > 2.0 * a
         rs = np.where(r == 0.0, 1.0, r)  # safe divisor
-        f = np.where(far,
-                     c0 * (3.0 * a / (4.0 * rs) + (a ** 3) / (2.0 * rs ** 3)),
-                     c0 * (1.0 - 9.0 * r / (32.0 * a)))
-        g = np.where(far,
-                     c0 * (3.0 * a / (4.0 * rs) - 3.0 * (a ** 3) / (2.0 * rs ** 3)),
-                     c0 * (3.0 * r / (32.0 * a)))
-        g = np.where(r == 0.0, 0.0, g)
+        # the far branch over every pair, then the few overlapping ones
+        lin, cub = 3.0 * a / (4.0 * rs), 2.0 * rs ** 3
+        f = c0 * (lin + (a ** 3) / cub)
+        g = c0 * (lin - 3.0 * (a ** 3) / cub)
+        near = r <= 2.0 * a
+        rn = r[near]
+        f[near] = c0 * (1.0 - 9.0 * rn / (32.0 * a))
+        g[near] = np.where(rn == 0.0, 0.0, c0 * (3.0 * rn / (32.0 * a)))
         rhat = diff / rs[..., None]
         # out[p, i, q, j] is entry (i, j) of the 3x3 block of points p and q
         out = np.empty((len(P), 3, len(Q), 3))

@@ -98,8 +98,9 @@ def test_solve_linearity():
 def test_solve_rejects_bad_shapes():
     ops = setup_problem(200)[-1]
     fct = factorize(assemble_extended_graph(ops), epsilon=1e-4, seed=0)
-    for shape in [(199,), (1, 200), (200, 2), (200, 2, 1), ()]:
-        with pytest.raises(ValueError):
+    for shape in [(199,), (1, 200), (199, 2), (200, 2, 1), ()]:
+        with pytest.raises(ValueError,
+                           match=r"expected shape \(200,\) or \(200, m\), got"):
             fct.solve(np.ones(shape))
 
 
@@ -109,8 +110,54 @@ def test_solve_rejects_non_finite_rhs(bad):
     fct = factorize(assemble_extended_graph(ops), epsilon=1e-4, seed=0)
     b = np.ones(200)
     b[17] = bad
-    with pytest.raises(ValueError, match="finite"):
-        fct.solve(b)
+    B = np.ones((200, 3))
+    B[17, 2] = bad   # in one column of a block only
+    for rhs in (b, B):
+        with pytest.raises(ValueError, match="finite"):
+            fct.solve(rhs)
+
+
+@pytest.mark.parametrize("kernel,n_points,leaf_target", [
+    (benchmark_kernel(1e-2), 500, 3), (nonsymmetric_kernel(), 500, 3),
+    (rpy_kernel(0.05), 300, 4)], ids=["benchmark", "nonsymmetric", "rpy"])
+def test_block_solve_matches_columns(kernel, n_points, leaf_target):
+    # a (dim, m) block is replayed once, each step on all m columns; it
+    # must give the column-by-column solves up to rounding. Depth 3, so
+    # the plan holds merges and level-2 steps after compressed fill; the
+    # non-symmetric kernel replays its own column-edge arrays, and the RPY
+    # kernel has 3x3 blocks
+    pts, kern, tree, topo, ops = setup_problem(n_points, leaf_target=leaf_target,
+                                               kernel=kernel)
+    assert tree.depth == 3
+    fct = factorize(assemble_extended_graph(ops), epsilon=1e-6, seed=0)
+    assert sum(ls.compressed_pairs for ls in fct.stats.levels) > 0
+    B = np.random.default_rng(12).standard_normal((fct.dim, 5))
+    X = fct.solve(B)
+    assert X.shape == B.shape
+    cols = np.column_stack([fct.solve(B[:, j]) for j in range(B.shape[1])])
+    assert np.linalg.norm(X - cols) <= 1e-12 * np.linalg.norm(cols)
+
+
+def test_block_solve_one_column_keeps_its_shape():
+    ops = setup_problem(200)[-1]
+    fct = factorize(assemble_extended_graph(ops), epsilon=1e-4, seed=0)
+    b = np.random.default_rng(13).standard_normal(200)
+    x, x1 = fct.solve(b), fct.solve(b[:, None])
+    assert x1.shape == (200, 1)
+    assert np.linalg.norm(x1[:, 0] - x) <= 1e-12 * np.linalg.norm(x)
+
+
+def test_block_solve_ignores_memory_order():
+    # C- and Fortran-ordered blocks hold the same numbers and give the same
+    # bits; the block itself is left as it was
+    ops = setup_problem(300)[-1]
+    fct = factorize(assemble_extended_graph(ops), epsilon=1e-4, seed=0)
+    B = np.random.default_rng(14).standard_normal((300, 4))
+    B_f = np.asfortranarray(B)
+    B_in = B.copy()
+    X = fct.solve(B)
+    assert np.array_equal(fct.solve(B_f), X)
+    assert np.array_equal(B, B_in) and np.array_equal(B_f, B_in)
 
 
 def test_multiple_rhs_replay_deterministic():
