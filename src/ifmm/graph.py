@@ -16,22 +16,22 @@ with the parent term absent at the top level. Edge counts are tracked
 so elimination-time sparsity can be asserted.
 
 The graph borrows the operator blocks: its initial edges are the arrays
-of `H2Operators` themselves, not copies. The near and coupling blocks
-among them are views into shared storage, the operators' per-leaf near
-rows and per-level coupling stacks, so one edge's memory neighbors
-another's. This is sound because `initialize_weights` writes that
-storage in place only before the graph is assembled, and no edge block
-is written in place afterwards. Every update stores a new array, and
-`merge_to_parent` places each moved block into a parent block it has
-just created, without accumulating.
+of `H2Operators` themselves, not copies, one edge per stored block. The
+near and coupling edges are views into the operators' per-leaf near rows
+and per-level coupling stacks, so one edge's memory neighbors another's.
+This is sound because `initialize_weights` writes that storage in place
+only before the graph is assembled, and no edge block is written in
+place afterwards. Every update stores a new array, and `merge_to_parent`
+places each moved block into a parent block it has just created, without
+accumulating.
 
 For a symmetric kernel the graph is kept exactly symmetric: `set_edge`
 stores an off-diagonal block together with its mirror, E(s, t) = E(t, s)^T
-as a transposed view of the same new array. Both directions stay keys, so
-the edge counts do not depend on the kernel. Since no block is written in
-place, a mirror never goes stale; a placement into a just-created parent
-block through its mirror writes the same memory with the same values.
-Self-edges E(a, a) are not mirrored.
+as a transposed view of the same new array, so assembly sets one block of
+each pair. Both directions stay keys: edge counts do not depend on the
+kernel. No block is written in place, so a mirror never goes stale; a
+placement into a just-created parent block through its mirror writes the
+same memory with the same values. Self-edges E(a, a) are not mirrored.
 """
 
 from __future__ import annotations
@@ -79,27 +79,32 @@ class ExtendedGraph:
                 self.node_z[cid] = self._new_node(k, Z, cid)
                 self.node_y[cid] = self._new_node(k, Y, cid)
 
-        for (i, j), S in ops.near.items():
+        # on a symmetric graph set_edge makes every reverse block
+        for (i, j), S in ops.near_blocks():
             self.set_edge(self.node_x[i], self.node_x[j], S)
         if tree.depth >= 2:
             for cid in tree.leaves():
                 self.set_edge(self.node_x[cid], self.node_z[cid],
                               ops.leaf_u[cid])
-                self.set_edge(self.node_z[cid], self.node_x[cid],
-                              ops.leaf_v[cid].T)
+                if not self.symmetric:
+                    self.set_edge(self.node_z[cid], self.node_x[cid],
+                                  ops.leaf_v[cid].T)
         for level in range(2, tree.depth + 1):
             for cid in tree.levels[level]:
                 minus_eye = -np.eye(ops.rank[cid])
                 self.set_edge(self.node_z[cid], self.node_y[cid], minus_eye)
-                self.set_edge(self.node_y[cid], self.node_z[cid], minus_eye)
-        for (i, j), K in ops.coupling.items():
-            self.set_edge(self.node_y[i], self.node_y[j], K)
+                if not self.symmetric:
+                    self.set_edge(self.node_y[cid], self.node_z[cid], minus_eye)
+        for lev in ops.coupling_levels:
+            for (i, j), K in lev.blocks():
+                self.set_edge(self.node_y[i], self.node_y[j], K)
         for cid, T in ops.transfer_u.items():
             parent = tree.clusters[cid].parent
             self.set_edge(self.node_y[cid], self.node_z[parent], T)
-        for cid, Tt in ops.transfer_vt.items():
-            parent = tree.clusters[cid].parent
-            self.set_edge(self.node_z[parent], self.node_y[cid], Tt)
+        if not self.symmetric:
+            for cid, Tt in ops.transfer_vt.items():
+                parent = tree.clusters[cid].parent
+                self.set_edge(self.node_z[parent], self.node_y[cid], Tt)
 
     # -- node/edge bookkeeping -------------------------------------------
 
@@ -226,44 +231,35 @@ def h2_dense(ops: H2Operators) -> np.ndarray:
     """
     tree = ops.tree
     bd = ops.block_dim
-    F_prev = None
-    prev_ids: list[int] = []
-    for level in range(2, tree.depth + 1):
-        ids = tree.levels[level]
-        offs = np.cumsum([0] + [ops.rank[c] for c in ids])
-        pos = {c: i for i, c in enumerate(ids)}
-        F = np.zeros((offs[-1], offs[-1]))
-        for (i, j), K in ops.coupling.items():
-            if i in pos and j in pos:
-                F[offs[pos[i]]:offs[pos[i] + 1], offs[pos[j]]:offs[pos[j] + 1]] = K
-        if F_prev is not None:
-            p_offs = np.cumsum([0] + [ops.rank[c] for c in prev_ids])
-            p_pos = {c: i for i, c in enumerate(prev_ids)}
+    F = None
+    for lev in ops.coupling_levels:
+        offs = np.cumsum([0] + [ops.rank[c] for c in lev.clusters])
+        pos = {c: i for i, c in enumerate(lev.clusters)}
+        F_l = np.zeros((offs[-1], offs[-1]))
+        for (i, j), K in lev.views():
+            F_l[offs[pos[i]]:offs[pos[i] + 1], offs[pos[j]]:offs[pos[j] + 1]] = K
+        if F is not None:
             Tu = np.zeros((offs[-1], p_offs[-1]))
             Tv = np.zeros((p_offs[-1], offs[-1]))
-            for c in ids:
-                p = tree.clusters[c].parent
-                r, q = pos[c], p_pos[p]
+            for c in lev.clusters:
+                r, q = pos[c], p_pos[tree.clusters[c].parent]
                 Tu[offs[r]:offs[r + 1], p_offs[q]:p_offs[q + 1]] = ops.transfer_u[c]
                 Tv[p_offs[q]:p_offs[q + 1], offs[r]:offs[r + 1]] = ops.transfer_vt[c]
-            F = F + Tu @ F_prev @ Tv
-        F_prev, prev_ids = F, ids
+            F_l = F_l + Tu @ F @ Tv
+        F, p_offs, p_pos = F_l, offs, pos
 
     dim = tree.n_points * bd
     A = np.zeros((dim, dim))
-    leaves = tree.leaves()
-    for (i, j), S in ops.near.items():
-        ci, cj = tree.clusters[i], tree.clusters[j]
-        A[ci.start * bd:ci.stop * bd, cj.start * bd:cj.stop * bd] = S
-    if F_prev is not None:
-        offs = np.cumsum([0] + [ops.rank[c] for c in prev_ids])
-        pos = {c: i for i, c in enumerate(prev_ids)}
+    for row in ops.near_rows:
+        A[row.rows, row.cols] = row.block
+        A[row.cols[row.mirrored:], row.rows] = row.block[:, row.mirrored:].T
+    if F is not None:  # offs and pos are the leaf level's
         U = np.zeros((dim, offs[-1]))
         Vt = np.zeros((offs[-1], dim))
-        for c in leaves:
+        for c in tree.leaves():
             cc = tree.clusters[c]
             r = pos[c]
             U[cc.start * bd:cc.stop * bd, offs[r]:offs[r + 1]] = ops.leaf_u[c]
             Vt[offs[r]:offs[r + 1], cc.start * bd:cc.stop * bd] = ops.leaf_v[c].T
-        A = A + U @ F_prev @ Vt
+        A = A + U @ F @ Vt
     return A

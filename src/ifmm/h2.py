@@ -23,11 +23,11 @@ non-symmetric has both blocks of every pair evaluated.
 The near and coupling blocks are stored once, in the layout the fast
 matvec applies: per leaf one `NearRow` holding its near blocks side by
 side, and per level one `LevelCouplings` with one stack per block shape.
-The `near` and `coupling` dicts hold views into that storage, so the
-graph that borrows them and `h2_matvec` read the same memory; a symmetric
-pair's reverse block is the transposed view. `initialize_weights` rotates
-the couplings in place. A symmetric operator stores its V side once, as
-the U side's arrays and their transposed views (see `initialize_weights`).
+Every reader iterates that storage, so the graph that borrows the blocks
+and `h2_matvec` read the same memory; for a symmetric kernel a pair's
+reverse block is the transpose of the stored one. `initialize_weights`
+rotates the couplings in place. A symmetric operator stores its V side
+once, as the U side's arrays and their transposed views.
 """
 
 from __future__ import annotations
@@ -98,16 +98,17 @@ class NearRow:
     """One leaf's near blocks side by side in one array.
 
     `block` maps the entries `cols` (tree order) to the leaf's entries
-    `rows`; each neighbor's block is a run of columns, in neighbor order.
-    For a symmetric kernel the row holds only the neighbors at or after the
-    leaf in tree order, its self block first, and the columns from
-    `mirrored` on also act transposed: they stand in for the blocks of the
-    later leaves' rows. Otherwise `mirrored` is the column count.
+    `rows`; the block of each neighbor in `leaves` is a run of columns, in
+    that order. For a symmetric kernel the row holds only the neighbors at
+    or after the leaf in tree order, its self block first, and the columns
+    from `mirrored` on also act transposed: they stand in for the blocks of
+    the later leaves' rows. Otherwise `mirrored` is the column count.
     """
     rows: slice
     cols: np.ndarray
     block: np.ndarray
     mirrored: int
+    leaves: list[int]
 
     def apply(self, x: np.ndarray, out: np.ndarray) -> None:
         """out += the row's blocks, and their mirrors, times x (tree order)."""
@@ -217,8 +218,6 @@ class H2Operators:
     leaf_v: dict[int, np.ndarray]
     transfer_u: dict[int, np.ndarray]          # child -> (k_child, k_parent)
     transfer_vt: dict[int, np.ndarray]         # child -> (k_parent, k_child)
-    coupling: dict[tuple[int, int], np.ndarray]  # (i, j) -> K block, j in I_i
-    near: dict[tuple[int, int], np.ndarray]    # leaf pairs -> dense block
     near_rows: list[NearRow]                   # per leaf, tree order
     coupling_levels: list[LevelCouplings]      # levels 2..depth
     sigma_u: dict[int, np.ndarray] = field(default_factory=dict)
@@ -234,6 +233,15 @@ class H2Operators:
 
     def max_rank(self) -> int:
         return max(self.rank.values()) if self.rank else 0
+
+    def near_blocks(self):
+        """(i, j) and its block, a view of leaf i's row, for each stored pair."""
+        for i, row in zip(self.tree.leaves(), self.near_rows):
+            a = 0
+            for j in row.leaves:
+                w = self.tree.clusters[j].size * self.block_dim
+                yield (i, j), row.block[:, a:a + w]
+                a += w
 
 
 def chebyshev_operators(tree: Octree, topology: ClusterTopology, kernel: Kernel,
@@ -299,15 +307,6 @@ def chebyshev_operators(tree: Octree, topology: ClusterTopology, kernel: Kernel,
                 transfer_u[c] = basis[row:row + rank[c]]
                 row += rank[c]
 
-    def kernel_block(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        B = kernel.block(P, Q)
-        if B.shape != (len(P) * bd, len(Q) * bd):
-            raise ValueError(
-                f"kernel {kernel.name!r} returned a block of shape {B.shape} "
-                f"for {len(P)} x {len(Q)} points; expected "
-                f"{(len(P) * bd, len(Q) * bd)} (block_dim {bd})")
-        return B
-
     # one kernel call and one left reduction per target and run of partners;
     # the cap keeps a wide grid (n = 4, 3x3 blocks, 189 partners) from
     # allocating a 55-MiB block plus the kernel's temporaries at once
@@ -325,13 +324,12 @@ def chebyshev_operators(tree: Octree, topology: ClusterTopology, kernel: Kernel,
         for i in ids:
             for r in range(0, len(partners[i]), run):
                 js = partners[i][r:r + run]
-                L = reduce_map[i] @ kernel_block(
+                L = reduce_map[i] @ kernel.checked_block(
                     grids[i], np.concatenate([grids[j] for j in js]))
                 for t, j in enumerate(js):
                     np.matmul(L[:, t * width:(t + 1) * width], reduce_map[j].T,
                               out=slot[(i, j)])
         coupling_levels.append(lev)
-    coupling = {key: K for lev in coupling_levels for key, K in lev.views()}
 
     def check_symmetric(S, St, what):
         if np.linalg.norm(S - St) > SYMMETRY_RTOL * np.linalg.norm(S):
@@ -340,43 +338,34 @@ def chebyshev_operators(tree: Octree, topology: ClusterTopology, kernel: Kernel,
                 "not; build it with symmetric=False")
 
     near_rows: list[NearRow] = []
-    near: dict[tuple[int, int], np.ndarray] = {}
     k = SYMMETRY_POINTS
     for i in tree.leaves():
         ci = cl[i]
         pi = tree.points[ci.start:ci.stop]
         row_leaves = [j for j in topology.neighbors[i]
                       if j >= i or not kernel.symmetric]
-        S = kernel_block(pi, np.concatenate(
+        S = kernel.checked_block(pi, np.concatenate(
             [tree.points[cl[j].start:cl[j].stop] for j in row_leaves]))
-        a = 0
-        for j in row_leaves:
-            w = cl[j].size * bd
-            near[(i, j)] = S[:, a:a + w]
-            if kernel.symmetric and j != i:
-                near[(j, i)] = near[(i, j)].T
-            a += w
-        if kernel.symmetric:
-            check_symmetric(near[(i, i)], near[(i, i)].T,
-                            f"the self block of leaf {i}")
+        w = ci.size * bd
+        if kernel.symmetric:  # the self block is first, leaf j's next
+            check_symmetric(S[:, :w], S[:, :w].T, f"the self block of leaf {i}")
             if len(row_leaves) > 1:
                 j = row_leaves[1]
-                pj = tree.points[cl[j].start:cl[j].stop]
-                check_symmetric(near[(i, j)][:k * bd, :k * bd],
-                                kernel_block(pj[:k], pi[:k]).T,
+                pj = tree.points[cl[j].start:cl[j].stop][:k]
+                check_symmetric(S[:k * bd, w:w + len(pj) * bd],
+                                kernel.checked_block(pj, pi[:k]).T,
                                 f"the near block of leaves {i} and {j}")
         near_rows.append(NearRow(
             slice(ci.start * bd, ci.stop * bd),
             np.concatenate([np.arange(cl[j].start * bd, cl[j].stop * bd)
                             for j in row_leaves]), S,
-            ci.size * bd if kernel.symmetric else S.shape[1]))
+            w if kernel.symmetric else S.shape[1], row_leaves))
 
     # V = U on the same grids; `initialize_weights` rotates a non-symmetric V apart
     leaf_v = dict(leaf_u)
     transfer_vt = {cid: T.T for cid, T in transfer_u.items()}
     return H2Operators(tree, topology, kernel, n, rank, leaf_u, leaf_v,
-                       transfer_u, transfer_vt, coupling, near, near_rows,
-                       coupling_levels)
+                       transfer_u, transfer_vt, near_rows, coupling_levels)
 
 
 def initialize_weights(ops: H2Operators, topology: ClusterTopology) -> H2Operators:
@@ -389,32 +378,34 @@ def initialize_weights(ops: H2Operators, topology: ClusterTopology) -> H2Operato
     rotates only U and stores V once: `leaf_v[c]` is `leaf_u[c]`,
     `sigma_v[c]` is `sigma_u[c]`, and `transfer_vt[c]` is `transfer_u[c].T`.
 
-    The couplings are read from `ops.coupling`, so a caller may replace
-    its entries first; each rotated block is written once into the
-    level stacks, and the dict is rebuilt as views of them.
+    Each cluster's outgoing and incoming concatenations are gathered in
+    one pass over its level's `views` and sorted by partner, so `topology`
+    is not read; each stored block is rotated once, in place in its stack.
     """
     tree = ops.tree
     sym = ops.kernel.symmetric
     rot_u: dict[int, np.ndarray] = {}
     rot_v: dict[int, np.ndarray] = {}
-    for level in range(2, tree.depth + 1):
-        for j in tree.levels[level]:
-            ilist = topology.interactions[j]
-            rot_u[j], ops.sigma_u[j] = _rotation(
-                [ops.coupling[(j, q)] for q in ilist], ops.rank[j])
+    for lev in ops.coupling_levels:
+        outgoing = {c: [] for c in lev.clusters}
+        incoming = {c: [] for c in lev.clusters}
+        for (i, j), K in lev.views():
+            outgoing[i].append((j, K))
+            if not sym:
+                incoming[j].append((i, K.T))
+        for c in lev.clusters:
+            rot_u[c], ops.sigma_u[c] = _rotation(outgoing[c], ops.rank[c])
             if sym:
                 # the incoming concatenation is the transpose of the outgoing
                 # one; sharing the rotation keeps U = V exactly
-                rot_v[j], ops.sigma_v[j] = rot_u[j], ops.sigma_u[j]
+                rot_v[c], ops.sigma_v[c] = rot_u[c], ops.sigma_u[c]
             else:
-                rot_v[j], ops.sigma_v[j] = _rotation(
-                    [ops.coupling[(q, j)].T for q in ilist], ops.rank[j])
+                rot_v[c], ops.sigma_v[c] = _rotation(incoming[c], ops.rank[c])
 
     # every rotation is computed before the first block is overwritten
     for lev in ops.coupling_levels:
         for (i, j), K in lev.blocks():
-            K[...] = rot_u[i].T @ ops.coupling[(i, j)] @ rot_v[j]
-    ops.coupling = {key: K for lev in ops.coupling_levels for key, K in lev.views()}
+            K[...] = rot_u[i].T @ K @ rot_v[j]
     if tree.depth >= 2:
         for cid in tree.leaves():
             ops.leaf_u[cid] = ops.leaf_u[cid] @ rot_u[cid]
@@ -428,10 +419,12 @@ def initialize_weights(ops: H2Operators, topology: ClusterTopology) -> H2Operato
     return ops
 
 
-def _rotation(blocks: list[np.ndarray], k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Complete left singular basis of the k-row blocks side by side, and k
-    weights from their singular values (the identity and ones for none)."""
-    W, s = left_singular(np.hstack([np.zeros((k, 0)), *blocks]))
+def _rotation(blocks: list, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Complete left singular basis of k-row (partner, block) pairs, the blocks
+    side by side in partner order (interaction-list order), and k weights
+    from their singular values (the identity and ones for none)."""
+    blocks.sort(key=lambda pb: pb[0])
+    W, s = left_singular(np.hstack([np.zeros((k, 0)), *(B for _, B in blocks)]))
     if len(s) == 0:
         return W, np.ones(k)
     w = np.concatenate([s[:k], np.full(max(0, k - len(s)), s[min(len(s), k) - 1])])

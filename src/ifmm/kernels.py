@@ -34,9 +34,9 @@ class Kernel:
     be point-pairwise: the block against a concatenation of point sets is
     the concatenation of the blocks against each, since the operator
     builder evaluates a cluster against all its partners in one call and
-    slices the result (it checks the shape, not the values). `symmetric`
-    marks kernels with block(P, Q) == block(Q, P).T, which the builders
-    exploit to share transposed blocks and keep U = V exactly.
+    slices the result (`checked_block` checks the shape, not the values).
+    `symmetric` marks kernels with block(P, Q) == block(Q, P).T, which the
+    builders exploit to share transposed blocks and keep U = V exactly.
     """
     name: str
     block_dim: int
@@ -46,6 +46,16 @@ class Kernel:
 
     def evaluate(self, ri, rj) -> np.ndarray:
         return self.block(np.atleast_2d(ri), np.atleast_2d(rj))
+
+    def checked_block(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+        """`block(P, Q)`; a ValueError names the kernel if its shape is wrong."""
+        B, bd = self.block(P, Q), self.block_dim
+        shape = (len(P) * bd, len(Q) * bd)
+        if B.shape != shape:
+            raise ValueError(f"kernel {self.name!r} returned a block of shape "
+                             f"{B.shape} for {len(P)} x {len(Q)} points; "
+                             f"expected {shape} (block_dim {bd})")
+        return B
 
 
 def benchmark_kernel(d: float) -> Kernel:

@@ -487,16 +487,23 @@ def test_factorize_leaves_borrowed_operator_blocks_unchanged(kernel):
     # depth 0: the top-level system is the caller's near block). The
     # factor keeps none of them, nor any view into the shared near rows
     # and coupling stacks, which would keep a whole stack alive.
-    names = ("near", "leaf_u", "leaf_v", "coupling", "transfer_u",
-             "transfer_vt", "sigma_u", "sigma_v")
+    names = ("leaf_u", "leaf_v", "transfer_u", "transfer_vt", "sigma_u", "sigma_v")
+
+    def storage(ops):
+        return ([row.block for row in ops.near_rows]
+                + [g.blocks for lev in ops.coupling_levels for g in lev.groups])
+
     for n_points, leaf_target, depth in [(500, 3, None), (100, 500, 0)]:
         pts, kern, tree, topo, ops = setup_problem(
             n_points, leaf_target=leaf_target, depth=depth, kernel=kernel)
         assert tree.depth >= 3 if depth is None else tree.depth == depth
         if depth == 0:  # Fortran-ordered, LAPACK could factor it in place
-            ops.near = {k: np.asfortranarray(v) for k, v in ops.near.items()}
+            (root,) = ops.near_rows
+            root.block = np.asfortranarray(root.block)
         before = {f: {k: v.copy() for k, v in getattr(ops, f).items()}
                   for f in names}
+        stored = [a.copy() for a in storage(ops)]
+        assert len(stored) > len(ops.near_rows) if depth is None else len(stored) == 1
         b = np.random.default_rng(15).standard_normal(len(pts))
         operator_owners = {id(memory_owner(a)) for a in reachable_arrays(
             [getattr(ops, f) for f in names] + [ops.near_rows, ops.coupling_levels])}
@@ -511,6 +518,8 @@ def test_factorize_leaves_borrowed_operator_blocks_unchanged(kernel):
                 assert after.keys() == before[f].keys()
                 assert all(np.array_equal(after[k], v)
                            for k, v in before[f].items()), f
+            assert all(np.array_equal(a, v) for a, v in zip(storage(ops), stored,
+                                                            strict=True))
         assert np.array_equal(xs[0], xs[1])
 
 

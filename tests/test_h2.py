@@ -3,7 +3,7 @@ import pytest
 
 from ifmm import h2
 from ifmm.dense import dense_matrix
-from ifmm.graph import assemble_extended_graph, estimate_sigma0, h2_dense
+from ifmm.graph import ExtendedGraph, assemble_extended_graph, estimate_sigma0, h2_dense
 from ifmm.h2 import chebyshev_operators, initialize_weights
 from ifmm.kernels import Kernel, benchmark_kernel, cube_uniform, nonsymmetric_kernel
 from ifmm.tree import build_octree, compute_topology
@@ -17,6 +17,12 @@ def make_ops(points, kernel, n, leaf_target=10, epsilon=0.0, depth=None):
     ops = chebyshev_operators(tree, topo, kernel, n, epsilon=epsilon)
     initialize_weights(ops, topo)
     return tree, topo, ops
+
+
+def coupling_views(ops):
+    """(i, j) -> coupling block for every pair, mirrors included: views of
+    the level stacks."""
+    return {key: K for lev in ops.coupling_levels for key, K in lev.views()}
 
 
 def constant_kernel(value=1.0):
@@ -90,22 +96,23 @@ def test_weights_single_interaction_rank_one():
     topo = compute_topology(tree)
     kern = benchmark_kernel(0.05)
     ops = chebyshev_operators(tree, topo, kern, n=2)
-    # pick a cluster and overwrite its couplings with a rank-1 matrix
+    # pick a cluster and overwrite its couplings, in the level stack, with
+    # a rank-1 matrix; a symmetric pair's reverse block is the same memory
+    coupling = coupling_views(ops)
     cid = next(c for c in tree.levels[2] if len(topo.interactions[c]) > 0)
     keep = topo.interactions[cid][0]
     rng = np.random.default_rng(0)
     for q in topo.interactions[cid]:
-        k1, k2 = ops.rank[cid], ops.rank[q]
-        ops.coupling[(cid, q)] = np.zeros((k1, k2))
-        ops.coupling[(q, cid)] = np.zeros((k2, k1))
+        coupling[(cid, q)][...] = 0.0
+        assert not coupling[(q, cid)].any()
     u = rng.standard_normal(ops.rank[cid])
     v = rng.standard_normal(ops.rank[keep])
     sigma = 2.5
     K = sigma * np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v))
-    ops.coupling[(cid, keep)] = K
-    ops.coupling[(keep, cid)] = K.T
+    coupling[(cid, keep)][...] = K
+    np.testing.assert_array_equal(coupling[(keep, cid)], K.T)
     initialize_weights(ops, topo)
-    ref = np.linalg.svd(np.hstack([ops.coupling[(cid, q)]
+    ref = np.linalg.svd(np.hstack([coupling[(cid, q)]
                                    for q in topo.interactions[cid]]),
                         compute_uv=False)
     assert ops.sigma_u[cid][0] == pytest.approx(sigma)
@@ -136,9 +143,14 @@ def test_blocks_are_views_of_compiled_storage(kern):
 
 
 def assert_compiled_storage(kern, ops):
+    # the graph's near (x-x) and coupling (y-y) edges are views of the rows
+    # and stacks, one block per unordered pair for a symmetric kernel
+    graph = assemble_extended_graph(ops)
     coupling_stacks = [g.blocks for lev in ops.coupling_levels for g in lev.groups]
-    for blocks, storage in ((ops.near, [r.block for r in ops.near_rows]),
-                            (ops.coupling, coupling_stacks)):
+    for kind, storage in (("x", [r.block for r in ops.near_rows]),
+                          ("y", coupling_stacks)):
+        blocks = {(t, s): B for (t, s), B in graph.edges.items()
+                  if graph.kinds[t] == graph.kinds[s] == kind}
         assert blocks
         assert all(memory_owner(s) is s for s in storage)
         owners = {id(s) for s in storage}
@@ -203,7 +215,7 @@ def test_graph_no_far_field_reduces_to_near():
     kern = benchmark_kernel(0.1)
     ops = chebyshev_operators(tree, topo, kern, n=2)
     initialize_weights(ops, topo)
-    assert not ops.coupling
+    assert not any(lev.groups for lev in ops.coupling_levels)
     graph = assemble_extended_graph(ops)
     b = np.random.default_rng(0).standard_normal(8)
     E = graph.dense_matrix()
@@ -234,6 +246,25 @@ def test_graph_pattern_symmetric_for_symmetric_kernel():
         rev = graph.get_edge(s, t)
         assert rev is not None
         np.testing.assert_allclose(blk, rev.T, atol=1e-12)
+
+
+@pytest.mark.parametrize("kern", [benchmark_kernel(1e-2), nonsymmetric_kernel()],
+                         ids=["symmetric", "nonsymmetric"])
+def test_graph_stores_each_edge_once(kern, monkeypatch):
+    # assembly sets each stored operator block once and set_edge makes the
+    # mirrors, so no edge of a fresh graph is stored twice
+    tree, topo, ops = make_ops(cube_uniform(1000, seed=4).points, kern, n=2,
+                               leaf_target=4, depth=3)
+    stores = []
+    store = ExtendedGraph._store
+
+    def counted(self, t, s, block):
+        stores.append((t, s))
+        store(self, t, s, block)
+
+    monkeypatch.setattr(ExtendedGraph, "_store", counted)
+    graph = assemble_extended_graph(ops)
+    assert len(stores) == graph.num_edges
 
 
 def test_one_dimensional_arrangement_edge_counts():
@@ -360,7 +391,7 @@ def test_kernel_wrongly_marked_symmetric_raises():
         make_ops(pts, Kernel("row-scaled", 1, {}, block), n=2)
     tree, topo, ops = make_ops(
         pts, Kernel("row-scaled", 1, {}, block, symmetric=False), n=2)
-    assert any(not np.allclose(S, S.T) for (i, j), S in ops.near.items() if i == j)
+    assert any(not np.allclose(S, S.T) for (i, j), S in ops.near_blocks() if i == j)
 
 
 def test_kernel_wrongly_marked_symmetric_raises_on_one_point_leaves():
@@ -379,18 +410,30 @@ def test_kernel_wrongly_marked_symmetric_raises_on_one_point_leaves():
         chebyshev_operators(tree, topo, Kernel("row-scaled", 1, {}, block), n=2)
     ops = chebyshev_operators(
         tree, topo, Kernel("row-scaled", 1, {}, block, symmetric=False), n=2)
-    assert any(not np.allclose(S, ops.near[(j, i)].T)
-               for (i, j), S in ops.near.items() if i != j)
+    near = dict(ops.near_blocks())  # every pair: the kernel is not symmetric
+    assert any(not np.allclose(S, near[(j, i)].T)
+               for (i, j), S in near.items() if i != j)
 
 
 def test_malformed_kernel_block_raises():
-    # a 3x3-block kernel whose block() returns scalar blocks: the builder
-    # names the kernel and the shape it expected
-    bad = Kernel("scalar-as-vector", 3, {}, benchmark_kernel(0.05).block)
+    # both builders name the kernel and the shape they expected: the
+    # operators' first call is a coupling (8 grid points against its
+    # partners), dense_matrix's a chunk of 256 rows against all 400 points
+    bad_kernels = [
+        # a 3x3-block kernel whose block() returns scalar blocks
+        Kernel("scalar-as-vector", 3, {}, benchmark_kernel(0.05).block),
+        # one row for every target set, which numpy would broadcast silently
+        Kernel("row-broadcast", 1, {}, lambda P, Q: np.ones((1, len(Q)))),
+    ]
     tree, _ = build_octree(cube_uniform(400, seed=0).points, 40)
     topo = compute_topology(tree)
-    with pytest.raises(ValueError, match=r"'scalar-as-vector'.*expected \(24, "):
-        chebyshev_operators(tree, topo, bad, n=2)
+    for bad in bad_kernels:
+        name, bd = bad.name, bad.block_dim
+        with pytest.raises(ValueError, match=rf"'{name}'.*expected \({8 * bd}, "):
+            chebyshev_operators(tree, topo, bad, n=2)
+        with pytest.raises(ValueError,
+                           match=rf"'{name}'.*expected \({256 * bd}, {400 * bd}\)"):
+            dense_matrix(tree.points, bad)
 
 
 def counting(kern):
@@ -426,6 +469,7 @@ def test_coupling_kernel_calls_per_cluster(kern, monkeypatch):
         assert len(calls) <= leaves * (2 if kern.symmetric else 1) + runs
         assert runs < sum(map(len, stored.values()))
     a, b = ops.values()
-    assert a.coupling.keys() == b.coupling.keys()
-    for key, K in a.coupling.items():
-        np.testing.assert_array_equal(K, b.coupling[key])
+    for la, lb in zip(a.coupling_levels, b.coupling_levels, strict=True):
+        assert [g.pairs for g in la.groups] == [g.pairs for g in lb.groups]
+        for ga, gb in zip(la.groups, lb.groups):
+            np.testing.assert_array_equal(ga.blocks, gb.blocks)
