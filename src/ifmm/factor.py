@@ -78,7 +78,9 @@ class LevelStats:
     """What eliminating one level cost, and what it compressed.
 
     The `_s` fields are the seconds of each phase: `pivot_s` the edge
-    pops, pivot LU and Schur solve of each elimination, `products_s` the
+    pops, pivot LU, pivot inverse and Schur product of each elimination
+    (the Schur complement columns are one GEMM of the inverse with the
+    popped rows; the replay still solves with the LU), `products_s` the
     fill products, `screen_s` the Frobenius screen of the well-separated
     fills, `unions_s` the basis unions, `rebases_s` the rebases, `adds_s`
     the projected adds of the kept fills, and `merge_s` the merge of the
@@ -390,7 +392,12 @@ def _eliminate_cluster(graph, cid, threshold, replay, stats):
     Vt = graph.pop_edge(nz, nx)
     graph.pop_edge(nz, ny)
     graph.pop_edge(ny, nz)
-    P = np.block([[D, U], [Vt, np.zeros((size_z, size_z))]])
+    # Fortran order: the LU factors it in place
+    P = np.empty((size_x + size_z,) * 2, order="F")
+    P[:size_x, :size_x] = D
+    P[:size_x, size_x:] = U
+    P[size_x:, :size_x] = Vt
+    P[size_x:, size_x:] = 0.0
     lu_piv = _lu(P, f"cluster {cid}")
 
     # the popped edges are stacked into the arrays the step keeps, and
@@ -417,13 +424,22 @@ def _eliminate_cluster(graph, cid, threshold, replay, stats):
     if graph.row_sources[nz] or graph.col_targets[nz]:
         raise AssertionError("z node unexpectedly has extra edges")
 
-    # Schur complement columns, in one solve: X_b = P^{-1} [E(x,b); 0] for
-    # every source b, and the column through the -I edge of the own
-    # multipole node; the solve overwrites its Fortran-ordered scratch
-    rhs = np.zeros((size_x + size_z, offs[-1]), order="F")
-    rhs[:size_x, :offs[-2]] = rows
-    rhs[size_x:, offs[-2]:] = -np.eye(size_z)
-    X = _pivot_solve(lu_piv, rhs)
+    # Schur complement columns, from the pivot LU, the pivot inverse and
+    # one Schur product: X_b = P^{-1} [E(x,b); 0] for every source b, and
+    # the column through the -I edge of the own multipole node. One solve
+    # on diag(I, -I) gives Pinv = P^{-1} diag(I, -I): its first x columns
+    # times the rows (one GEMM) are the sources' columns, its last z
+    # columns the own multipole node's. The fill products use the x rows
+    # of X negated, so Pinv's x rows are negated before the product
+    # (negation is exact: the fills are the same).
+    S, n = offs[-2], size_x + size_z
+    Pinv = np.zeros((n, n), order="F")
+    np.fill_diagonal(Pinv, np.r_[np.ones(size_x), -np.ones(size_z)])
+    Pinv = _pivot_solve(lu_piv, Pinv)
+    np.negative(Pinv[:size_x], out=Pinv[:size_x])
+    X = np.empty((n, offs[-1]), order="F")
+    np.matmul(Pinv[:, :size_x], rows, out=X[:, :S])
+    X[:, S:] = Pinv[:, size_x:]
     src_nodes.append(ny)
     xcols = {b: X[:, offs[j]:offs[j + 1]] for j, b in enumerate(src_nodes)}
 
@@ -431,12 +447,10 @@ def _eliminate_cluster(graph, cid, threshold, replay, stats):
     t1 = time.perf_counter()
     stats.pivot_s += t1 - t0
 
-    # F(a, b) = -E(a, x) X_b[:x] for a target a, and the z rows X_b[z:] for
-    # the own multipole node, whose only column edge is -I on z. On a
-    # symmetric graph F(b, a) = F(a, b)^T: only b at or after a is formed.
-    # The x rows of X are negated once here, not every product after it
-    # (negation is exact: the fills are the same).
-    np.negative(X[:size_x], out=X[:size_x])
+    # F(a, b) = -E(a, x) X_b[:x] for a target a (X's x rows hold -X_b[:x]),
+    # and the z rows X_b[z:] for the own multipole node, whose only column
+    # edge is -I on z. On a symmetric graph F(b, a) = F(a, b)^T: only b at
+    # or after a is formed.
     fills: dict[tuple[int, int], np.ndarray] = {}
     all_targets = col_blocks + [(ny, None)]
     for i, (a, Ea) in enumerate(all_targets):

@@ -44,6 +44,7 @@ from .tree import ClusterTopology, Octree
 SYMMETRY_RTOL = 1e-12  # near blocks of a kernel marked symmetric
 SYMMETRY_POINTS = 4    # points per side of the off-diagonal symmetry check
 COUPLING_ENTRIES = 1 << 20  # entries of one coupling kernel call (8 MiB)
+ROTATE_ENTRIES = 1 << 18    # block entries of one batched weight rotation (2 MiB)
 
 
 def cheb_nodes(n: int) -> np.ndarray:
@@ -402,10 +403,20 @@ def initialize_weights(ops: H2Operators, topology: ClusterTopology) -> H2Operato
             else:
                 rot_v[c], ops.sigma_v[c] = _rotation(incoming[c], ops.rank[c])
 
-    # every rotation is computed before the first block is overwritten
+    # every rotation is computed before the first block is overwritten; a
+    # stack is rotated in place by batched products of at most
+    # ROTATE_ENTRIES entries, so that no temporary is large
     for lev in ops.coupling_levels:
-        for (i, j), K in lev.blocks():
-            K[...] = rot_u[i].T @ K @ rot_v[j]
+        ru = _level_stack(rot_u, lev)
+        rv = ru if sym else _level_stack(rot_v, lev)
+        for g in lev.groups:
+            ki, kj = g.blocks.shape[1:]
+            step = max(1, ROTATE_ENTRIES // (ki * kj))
+            for s in range(0, len(g.pairs), step):
+                K = g.blocks[s:s + step]
+                Ru = ru[g.tgt[s:s + step], :ki, :ki]
+                Rv = rv[g.src[s:s + step], :kj, :kj]
+                K[...] = Ru.transpose(0, 2, 1) @ K @ Rv
     if tree.depth >= 2:
         for cid in tree.leaves():
             ops.leaf_u[cid] = ops.leaf_u[cid] @ rot_u[cid]
@@ -419,12 +430,23 @@ def initialize_weights(ops: H2Operators, topology: ClusterTopology) -> H2Operato
     return ops
 
 
+def _level_stack(rot: dict, lev: LevelCouplings) -> np.ndarray:
+    """The level's rotations in one (clusters, kmax, kmax) stack, in level
+    order, each in the top-left corner of its slot."""
+    out = np.zeros((len(lev.clusters), lev.kmax, lev.kmax))
+    for p, c in enumerate(lev.clusters):
+        k = len(rot[c])
+        out[p, :k, :k] = rot[c]
+    return out
+
+
 def _rotation(blocks: list, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Complete left singular basis of k-row (partner, block) pairs, the blocks
     side by side in partner order (interaction-list order), and k weights
     from their singular values (the identity and ones for none)."""
     blocks.sort(key=lambda pb: pb[0])
-    W, s = left_singular(np.hstack([np.zeros((k, 0)), *(B for _, B in blocks)]))
+    W, s = left_singular(np.concatenate(
+        [np.zeros((k, 0)), *(B for _, B in blocks)], axis=1))
     if len(s) == 0:
         return W, np.ones(k)
     w = np.concatenate([s[:k], np.full(max(0, k - len(s)), s[min(len(s), k) - 1])])

@@ -285,6 +285,44 @@ def test_redirect_preserves_schur_system(kernel):
 
 @pytest.mark.parametrize("kernel", [benchmark_kernel(0.2), nonsymmetric_kernel()],
                          ids=["benchmark", "nonsymmetric"])
+def test_elimination_matches_dense_schur_complement(kernel):
+    # after one elimination, every edge between neighbor clusters (or
+    # within one cluster) among the pivot's neighbor nodes N is the dense
+    # Schur complement E_NN - E_Np P^{-1} E_pN of the graph before it;
+    # the cluster also has well-separated fill, which is redirected
+    pts, kern, tree, topo, ops = setup_problem(900, leaf_target=40, kernel=kernel)
+    g = assemble_extended_graph(ops)
+    cid = next(c for c in tree.levels[tree.depth]
+               if any(not topo.are_neighbors(j, k)
+                      for j in topo.neighbors[c] for k in topo.neighbors[c]))
+    piv = [g.node_x[cid], g.node_z[cid]]
+    N = sorted(set().union(*(g.row_sources[n] | g.col_targets[n] for n in piv))
+               - set(piv))
+    assert g.node_y[cid] in N
+    E = g.dense_matrix(piv + N)
+    k = sum(g.sizes[n] for n in piv)
+    schur = E[k:, k:] - E[k:, :k] @ np.linalg.solve(E[:k, :k], E[:k, k:])
+    off = dict(zip(N, np.cumsum([0] + [g.sizes[n] for n in N])))
+
+    stats = LevelStats(tree.depth)
+    _eliminate_cluster(g, cid, 1e-13, Replay.for_graph(g), stats)
+    assert stats.compressed_pairs > 0
+    checked = 0
+    for a in N:
+        for b in N:
+            ca, cb = g.cluster_of[a], g.cluster_of[b]
+            if ca != cb and not topo.are_neighbors(ca, cb):
+                continue
+            ref = schur[off[a]:off[a] + g.sizes[a], off[b]:off[b] + g.sizes[b]]
+            got = g.get_edge(a, b)
+            assert got is not None
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+            checked += 1
+    assert checked > len(N)
+
+
+@pytest.mark.parametrize("kernel", [benchmark_kernel(0.2), nonsymmetric_kernel()],
+                         ids=["benchmark", "nonsymmetric"])
 def test_batched_redirect_matches_dense_over_eliminations(monkeypatch, kernel):
     # several eliminations in Morton order, so later ones redirect fill
     # between a live cluster and an already eliminated one; the remaining

@@ -207,6 +207,33 @@ def test_weights_complete_rotation_for_narrow_couplings(kern):
     assert np.linalg.norm(after - before) <= 1e-12 * np.linalg.norm(before)
 
 
+@pytest.mark.parametrize("kern", [benchmark_kernel(1e-2), nonsymmetric_kernel()],
+                         ids=["symmetric", "nonsymmetric"])
+def test_batched_rotation_matches_per_pair(kern, monkeypatch):
+    # each stack is rotated in place by batched products of at most
+    # ROTATE_ENTRIES entries, seven 8 x 8 blocks here so that batches split
+    # the groups; every block must be its per-pair rotation
+    # rot_u[i]^T K rot_v[j]
+    tree, _ = build_octree(cube_uniform(1000, seed=4).points, 4, depth=3)
+    topo = compute_topology(tree)
+    ops = chebyshev_operators(tree, topo, kern, 2)
+    before = {key: K.copy() for lev in ops.coupling_levels
+              for key, K in lev.blocks()}
+    rots = []
+    level_stack = h2._level_stack
+    monkeypatch.setattr(h2, "_level_stack",
+                        lambda rot, lev: rots.append(rot) or level_stack(rot, lev))
+    monkeypatch.setattr(h2, "ROTATE_ENTRIES", 7 * 64)
+    initialize_weights(ops, topo)
+    assert any(len(g.pairs) > 7 and g.blocks.shape[1:] == (8, 8)
+               for lev in ops.coupling_levels for g in lev.groups)
+    rot_u, rot_v = rots[0], rots[0 if kern.symmetric else 1]
+    for lev in ops.coupling_levels:
+        for (i, j), K in lev.blocks():
+            ref = rot_u[i].T @ before[(i, j)] @ rot_v[j]
+            assert np.linalg.norm(K - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
 def test_graph_no_far_field_reduces_to_near():
     # tiny point set: all level-2 clusters mutually adjacent, no K edges
     pts = cell_grid_points(2) * 0.2 + 0.4   # 8 points huddled at the center
