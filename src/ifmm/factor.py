@@ -31,17 +31,18 @@ point order (so a right-hand side is copied straight in), and each y
 node the next free one at its cluster's elimination. A merge computes
 nothing and records nothing: it renames the children's unknowns, so a
 parent's x segment is the run of its children's segments. Each
-elimination appends a step holding its pivot factors and popped edges
-(the row edges as one array, and on the two-sided path the column edges
-as another; on the symmetric path the column edges are the transposes of
-the rows). Going forward, an elimination is one pivot solve and one
-product scattered into its targets' segments; going back, one gathered
-product and one pivot solve. On a block each of these acts on all m
-columns at once: getrs (called directly) takes them as one multi-column
-solve and the products are matrix-matrix. `forward_sweep` (the test
-oracles' entry, on a plan recorded so far) and `IFMMFactorization.solve`
-run the same replay; the solve pulls the solution back by substitution,
-for any number of right-hand sides without refactorizing.
+elimination appends a step holding its pivot's inverse (the one it forms
+for its Schur columns) and its popped edges (the row edges as one array,
+and on the two-sided path the column edges as another; on the symmetric
+path the column edges are the transposes of the rows). The replay is
+products only: going forward, an elimination is one product with the
+inverse and one product scattered into its targets' segments; going
+back, one gathered product and two with the inverse, each on all m
+columns of a block at once. `forward_sweep` (the test oracles' entry, on
+a plan recorded so far) and `IFMMFactorization.solve` run the same
+replay; the solve solves the top-level system by its LU factors and
+pulls the solution back by substitution, for any number of right-hand
+sides without refactorizing.
 
 `factorize` accounts for its time and its compression in one record per
 eliminated level, `LevelStats`, kept in `FactorStats.levels`: the seconds
@@ -64,6 +65,7 @@ import scipy.linalg as sla
 from scipy.linalg.lapack import dgetrs
 
 from .graph import ExtendedGraph, X, estimate_sigma0
+from .kernels import real_array
 from .lowrank import BasisUpdate, weighted_basis_union
 
 
@@ -80,7 +82,7 @@ class LevelStats:
     The `_s` fields are the seconds of each phase: `pivot_s` the edge
     pops, pivot LU, pivot inverse and Schur product of each elimination
     (the Schur complement columns are one GEMM of the inverse with the
-    popped rows; the replay still solves with the LU), `products_s` the
+    popped rows, and the replay step keeps the inverse), `products_s` the
     fill products, `screen_s` the Frobenius screen of the well-separated
     fills, `unions_s` the basis unions, `rebases_s` the rebases, `adds_s`
     the projected adds of the kept fills, and `merge_s` the merge of the
@@ -94,7 +96,8 @@ class LevelStats:
     rank); it is negative when the union drops old directions whose
     weights are at or below the threshold. `peak_edges` is the graph's
     edge peak so far at the end of the level, and `step_bytes` the bytes
-    of the solve steps the level recorded.
+    of the solve steps the level recorded (pivot inverses, popped edges
+    and gather indices).
     """
     level: int
     pivot_s: float = 0.0
@@ -143,7 +146,7 @@ class FactorStats:
 class _ElimStep(NamedTuple):
     xs: slice                 # segment of the x node
     ys: slice                 # segment of the y node
-    lu_piv: tuple[np.ndarray, np.ndarray] | None
+    pinv: np.ndarray          # diag(-I, I) P^{-1} diag(I, -I), P the (x, z) pivot
     src: np.ndarray           # gather index of the sources' segments
     tgt: np.ndarray           # gather index of the targets' segments
     rows: np.ndarray          # E(x, sources)
@@ -192,24 +195,19 @@ class Replay:
                                for s in segs] or [np.zeros(0, np.int32)])
 
     def forward(self, v: np.ndarray) -> None:
-        tail = v.shape[1:]
-        for xs, ys, lu_piv, _, tgt, _, fwd in self.steps:
+        # h = P^{-1} [v_x; 0] with its x rows negated
+        for xs, ys, pinv, _, tgt, _, fwd in self.steps:
             sx = xs.stop - xs.start
-            # Fortran order: getrs takes a block as one multi-column solve
-            g = np.zeros((sx + ys.stop - ys.start,) + tail, order="F")
-            g[:sx] = v[xs]
-            g = _pivot_solve(lu_piv, g)
-            v[tgt] -= fwd @ g[:sx]
-            v[ys] = g[sx:]
+            h = pinv[:, :sx] @ v[xs]
+            v[tgt] += fwd @ h[:sx]
+            v[ys] = h[sx:]
 
     def backward(self, v: np.ndarray) -> None:
-        tail = v.shape[1:]
-        for xs, ys, lu_piv, src, _, rows, _ in reversed(self.steps):
+        # v_x = the x rows of P^{-1} [v_x - E(x, sources) v_sources; v_y]
+        for xs, ys, pinv, src, _, rows, _ in reversed(self.steps):
             sx = xs.stop - xs.start
-            r = np.empty((sx + ys.stop - ys.start,) + tail, order="F")
-            np.subtract(v[xs], rows @ v[src], out=r[:sx])
-            r[sx:] = v[ys]
-            v[xs] = _pivot_solve(lu_piv, r)[:sx]
+            v[xs] = (pinv[:sx, :sx] @ (rows @ v[src] - v[xs])
+                     + pinv[:sx, sx:] @ v[ys])
 
 
 def forward_sweep(replay: Replay,
@@ -257,9 +255,9 @@ class IFMMFactorization:
 
         b has shape (dim,) or (dim, m); a block is replayed once, every
         step acting on all m columns. Raises ValueError for any other
-        shape and for non-finite entries.
+        shape, for a complex dtype and for non-finite entries.
         """
-        b = np.asarray(b, dtype=float)
+        b = real_array(b, "rhs")
         if b.ndim not in (1, 2) or b.shape[0] != self.dim:
             raise ValueError(f"expected shape ({self.dim},) or ({self.dim}, m), "
                              f"got {b.shape}")
@@ -393,12 +391,19 @@ def _eliminate_cluster(graph, cid, threshold, replay, stats):
     graph.pop_edge(nz, ny)
     graph.pop_edge(ny, nz)
     # Fortran order: the LU factors it in place
-    P = np.empty((size_x + size_z,) * 2, order="F")
+    n = size_x + size_z
+    P = np.empty((n, n), order="F")
     P[:size_x, :size_x] = D
     P[:size_x, size_x:] = U
     P[size_x:, :size_x] = Vt
     P[size_x:, size_x:] = 0.0
-    lu_piv = _lu(P, f"cluster {cid}")
+    # the pivot's inverse in the signs the Schur columns and the replay
+    # use, Pinv = diag(-I, I) P^{-1} diag(I, -I): one solve on diag(I, -I),
+    # then its x rows negated (negation is exact)
+    Pinv = np.zeros((n, n), order="F")
+    np.fill_diagonal(Pinv, np.r_[np.ones(size_x), -np.ones(size_z)])
+    Pinv = _pivot_solve(_lu(P, f"cluster {cid}"), Pinv)
+    np.negative(Pinv[:size_x], out=Pinv[:size_x])
 
     # the popped edges are stacked into the arrays the step keeps, and
     # the fill products below read views of them
@@ -407,36 +412,28 @@ def _eliminate_cluster(graph, cid, threshold, replay, stats):
         for b in src_nodes:
             graph.pop_edge(b, nx)
     sources, rows = _pop_stacked(graph, nx, src_nodes, 1)
-    offs = np.cumsum([0] + [n for _, n in sources] + [size_z])
+    offs = np.cumsum([0] + [w for _, w in sources] + [size_z])
     xs, ys = replay.segments[nx], replay.new_segment(ny, size_z)
-    src = replay.gather(n for n, _ in sources)
+    src = replay.gather(b for b, _ in sources)
     if graph.symmetric:
         targets, cols, tgt = sources, rows.T, src
     else:
         targets, cols = _pop_stacked(graph, nx, sorted(graph.col_targets[nx]), 0)
-        tgt = replay.gather(n for n, _ in targets)
-    toffs = np.cumsum([0] + [n for _, n in targets])
+        tgt = replay.gather(a for a, _ in targets)
+    toffs = np.cumsum([0] + [w for _, w in targets])
     col_blocks = [(a, cols[toffs[j]:toffs[j + 1]])
                   for j, (a, _) in enumerate(targets)]
-    replay.steps.append(_ElimStep(xs, ys, lu_piv, src, tgt, rows, cols))
-    owned = (rows, src) if graph.symmetric else (rows, src, cols, tgt)
-    stats.step_bytes += sum(a.nbytes for a in owned + (lu_piv or ()))
+    replay.steps.append(_ElimStep(xs, ys, Pinv, src, tgt, rows, cols))
+    owned = (Pinv, rows, src) if graph.symmetric else (Pinv, rows, src, cols, tgt)
+    stats.step_bytes += sum(a.nbytes for a in owned)
     if graph.row_sources[nz] or graph.col_targets[nz]:
         raise AssertionError("z node unexpectedly has extra edges")
 
-    # Schur complement columns, from the pivot LU, the pivot inverse and
-    # one Schur product: X_b = P^{-1} [E(x,b); 0] for every source b, and
-    # the column through the -I edge of the own multipole node. One solve
-    # on diag(I, -I) gives Pinv = P^{-1} diag(I, -I): its first x columns
-    # times the rows (one GEMM) are the sources' columns, its last z
-    # columns the own multipole node's. The fill products use the x rows
-    # of X negated, so Pinv's x rows are negated before the product
-    # (negation is exact: the fills are the same).
-    S, n = offs[-2], size_x + size_z
-    Pinv = np.zeros((n, n), order="F")
-    np.fill_diagonal(Pinv, np.r_[np.ones(size_x), -np.ones(size_z)])
-    Pinv = _pivot_solve(lu_piv, Pinv)
-    np.negative(Pinv[:size_x], out=Pinv[:size_x])
+    # Schur complement columns X_b = P^{-1} [E(x,b); 0] for every source b,
+    # and the column through the -I edge of the own multipole node, with
+    # their x rows negated, as the fill products use them: Pinv's first x
+    # columns times the rows (one GEMM), and its last z columns
+    S = offs[-2]
     X = np.empty((n, offs[-1]), order="F")
     np.matmul(Pinv[:, :size_x], rows, out=X[:, :S])
     X[:, S:] = Pinv[:, size_x:]

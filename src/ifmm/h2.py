@@ -11,7 +11,7 @@ cluster per level: its grid against its partners' grids side by side (in
 runs of at most COUPLING_ENTRIES entries), reduced on the left by one
 product and on the right per pair, straight into the level's stack.
 Vector kernels are handled by Kronecker expansion of the scalar
-interpolation.
+interpolation. The children of one octant share one transfer matrix.
 
 The extended sparse graph introduces, per cluster at levels >= 2, a local
 variable z (incoming far field) and a multipole variable y (outgoing far
@@ -32,6 +32,7 @@ once, as the U side's arrays and their transposed views.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,6 +87,19 @@ def _interp_matrix(points: np.ndarray, center: np.ndarray, half_width: float,
     Sy = cheb_interp_1d(rel[:, 1], n)
     Sz = cheb_interp_1d(rel[:, 2], n)
     return np.einsum("pi,pj,pk->pijk", Sx, Sy, Sz).reshape(len(points), n ** 3)
+
+
+def _octant_transfers(n: int) -> dict[tuple[int, int, int], np.ndarray]:
+    """The child-in-parent interpolation matrices of the eight octants.
+
+    In a uniform octree a child's grid sits in its parent's unit cell at
+    0.5 * g + (b - 0.5) on each axis, where g is the unit grid and
+    b = cell & 1 the child's octant bit on that axis: every child of one
+    octant has the same transfer, keyed here by its three bits.
+    """
+    unit = _grid(np.zeros(3), 1.0, n)
+    return {o: _interp_matrix(0.5 * unit + np.array(o) - 0.5, np.zeros(3), 1.0, n)
+            for o in itertools.product((0, 1), repeat=3)}
 
 
 def _kron_bd(M: np.ndarray, bd: int) -> np.ndarray:
@@ -293,14 +307,13 @@ def chebyshev_operators(tree: Octree, topology: ClusterTopology, kernel: Kernel,
         reduce_map[cid] = G
         rank[cid] = basis.shape[1]
 
+    transfer = {o: _kron_bd(T, bd) for o, T in _octant_transfers(n).items()}
     for level in range(tree.depth - 1, 1, -1):
         for pid in tree.levels[level]:
             p = cl[pid]
-            blocks = []
-            for c in p.children:
-                T = _interp_matrix(grids[c], p.center, p.half_width, n)
-                blocks.append(reduce_map[c] @ _kron_bd(T, bd))
-            basis, G = _reduce(np.vstack(blocks))
+            basis, G = _reduce(np.vstack(
+                [reduce_map[c] @ transfer[tuple(i & 1 for i in cl[c].cell)]
+                 for c in p.children]))
             reduce_map[pid] = G
             rank[pid] = basis.shape[1]
             row = 0

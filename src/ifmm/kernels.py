@@ -20,6 +20,15 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 
+def real_array(a, name: str) -> np.ndarray:
+    """`a` as a float array; a complex `a` raises ValueError naming its
+    dtype, since the conversion would drop the imaginary part."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        raise ValueError(f"{name} must be real, got dtype {a.dtype}")
+    return a.astype(float, copy=False)
+
+
 @dataclass
 class Kernel:
     """A kernel producing block matrix entries.

@@ -21,6 +21,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .h2 import H2Operators
+from .kernels import real_array
 
 
 @dataclass
@@ -43,7 +44,7 @@ def gmres(apply_A: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
     outputs are kept: `precond` must return arrays it does not modify
     later. Without `precond` the solve is unpreconditioned and the trace's
     side is "none". A `side` other than "left" or "right", or a `b` that
-    is not 1-D or not finite, raises ValueError.
+    is complex, not 1-D or not finite, raises ValueError.
     Zero-vector Arnoldi breakdown returns the current iterate (converged
     if the residual estimate met tol).
     """
@@ -54,7 +55,7 @@ def gmres(apply_A: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
                          "pass no precond for an unpreconditioned solve")
     if precond is None:
         side = "none"
-    b = np.asarray(b, dtype=float)
+    b = real_array(b, "b")
     if b.ndim != 1:
         raise ValueError(f"b must be 1-D, got shape {b.shape}")
     if not np.isfinite(b).all():
@@ -137,11 +138,12 @@ def h2_matvec(ops: H2Operators, x: np.ndarray) -> np.ndarray:
     Per leaf one product with its near row (and, for a symmetric kernel,
     one with the row's mirrored part) and one with each basis; per level
     one batched product per coupling stack and one segment sum; one
-    transfer per child between levels. Any other shape raises ValueError.
+    transfer per child between levels. Any other shape, or a complex x,
+    raises ValueError.
     """
     tree = ops.tree
     bd, dim = ops.block_dim, ops.dim
-    x = np.asarray(x, dtype=float)
+    x = real_array(x, "x")
     if x.ndim not in (1, 2) or x.shape[0] != dim:
         raise ValueError(f"expected shape ({dim},) or ({dim}, m), got {x.shape}")
     m = x.shape[1] if x.ndim == 2 else 1

@@ -1,6 +1,7 @@
 import csv
 import json
 import shlex
+from fnmatch import fnmatch
 from pathlib import Path
 
 import numpy as np
@@ -284,6 +285,22 @@ def test_report_schema_rejects_missing_key():
     del d["timings"]["total"]
     with pytest.raises(ValueError):
         validate_report(d)
+
+
+def test_package_data_lists_every_data_file():
+    # a non-editable install ships only the data files pyproject.toml
+    # lists; validate_report reads the report schema from the package
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as f:
+        listed = (tomllib.load(f)["tool"]["setuptools"]
+                  .get("package-data", {}).get("ifmm", []))
+    pkg = root / "src" / "ifmm"
+    data = [p.relative_to(pkg).as_posix() for p in pkg.rglob("*")
+            if p.is_file() and p.suffix not in (".py", ".pyc")]
+    assert "run_report.schema.json" in data
+    for name in data:
+        assert any(fnmatch(name, pattern) for pattern in listed), name
 
 
 def test_readme_library_example_runs():

@@ -117,6 +117,20 @@ def test_solve_rejects_non_finite_rhs(bad):
             fct.solve(rhs)
 
 
+def test_solve_rejects_complex_rhs():
+    # converting to float would drop the imaginary part with only a
+    # warning; int and bool right-hand sides are still taken as floats
+    ops = setup_problem(200)[-1]
+    fct = factorize(assemble_extended_graph(ops), epsilon=1e-4, seed=0)
+    for rhs in (np.ones(200) + 1j, np.ones((200, 2), dtype=complex)):
+        with pytest.raises(ValueError, match="rhs must be real, got dtype complex128"):
+            fct.solve(rhs)
+    for shape in ((200,), (200, 2)):
+        x = fct.solve(np.ones(shape))
+        for dtype in (int, bool):
+            np.testing.assert_array_equal(fct.solve(np.ones(shape, dtype=dtype)), x)
+
+
 @pytest.mark.parametrize("kernel,n_points,leaf_target", [
     (benchmark_kernel(1e-2), 500, 3), (nonsymmetric_kernel(), 500, 3),
     (rpy_kernel(0.05), 300, 4)], ids=["benchmark", "nonsymmetric", "rpy"])

@@ -500,3 +500,42 @@ def test_coupling_kernel_calls_per_cluster(kern, monkeypatch):
         assert [g.pairs for g in la.groups] == [g.pairs for g in lb.groups]
         for ga, gb in zip(la.groups, lb.groups):
             np.testing.assert_array_equal(ga.blocks, gb.blocks)
+
+
+def test_transfers_one_per_octant(monkeypatch):
+    # a child's grid sits at the same place in its parent's cell for every
+    # child of one octant: cheb_interp_1d runs once per leaf axis and once
+    # per octant axis, not once per child; each octant's transfer is every
+    # per-child interpolation of that octant, and the operator's nested
+    # bases reproduce the parents' interpolation on the children's points
+    n = 2
+    tree, _ = build_octree(cube_uniform(2000, seed=3).points, 4, depth=3)
+    topo = compute_topology(tree)
+    calls, interp = [], h2.cheb_interp_1d
+
+    def counted(targets, n):
+        calls.append(len(targets))
+        return interp(targets, n)
+
+    monkeypatch.setattr(h2, "cheb_interp_1d", counted)
+    ops = chebyshev_operators(tree, topo, benchmark_kernel(1e-2), n)
+    monkeypatch.undo()
+    assert len(calls) <= 3 * len(tree.leaves()) + 24 < 6 * len(tree.leaves())
+
+    transfers = h2._octant_transfers(n)
+    for pid in tree.levels[2]:
+        p = tree.clusters[pid]
+        nested, P = [], []
+        for cid in p.children:
+            c = tree.clusters[cid]
+            T = h2._interp_matrix(h2._grid(c.center, c.half_width, n),
+                                  p.center, p.half_width, n)
+            octant = tuple(i & 1 for i in c.cell)
+            np.testing.assert_allclose(transfers[octant], T, rtol=0, atol=1e-13)
+            nested.append(ops.leaf_u[cid] @ ops.transfer_u[cid])
+            P.append(h2._interp_matrix(tree.points[c.start:c.stop],
+                                       p.center, p.half_width, n))
+        nested, P = np.vstack(nested), np.vstack(P)
+        assert nested.shape[0] > 2 * nested.shape[1]
+        G = np.linalg.lstsq(nested, P, rcond=None)[0]
+        assert np.linalg.norm(nested @ G - P) <= 1e-10 * np.linalg.norm(P)

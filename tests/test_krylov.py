@@ -22,6 +22,14 @@ def test_gmres_identity_one_iteration():
     np.testing.assert_allclose(x, b, atol=1e-12)
 
 
+@pytest.mark.parametrize("dtype", [int, bool])
+def test_gmres_takes_int_and_bool_rhs(dtype):
+    b = np.arange(1, 6).astype(dtype)
+    x, tr = gmres(lambda v: 2.0 * v, b, tol=1e-12, max_iters=10)
+    assert tr.converged
+    np.testing.assert_allclose(x, b / 2.0, atol=1e-12)
+
+
 def test_gmres_two_distinct_eigenvalues():
     A = np.diag([1.0, 2.0])
     b = np.ones(2)
@@ -148,7 +156,9 @@ def test_gmres_validates_arguments():
     (np.ones(()), r"b must be 1-D, got shape \(\)"),
     (np.array([1.0, np.nan, 2.0]), "nan or inf"),
     (np.array([1.0, -np.inf]), "nan or inf"),
-], ids=["block", "scalar", "nan", "inf"])
+    (np.ones(6) + 1j, "b must be real, got dtype complex128"),
+    (np.ones((6, 2), dtype=complex), "b must be real, got dtype complex128"),
+], ids=["block", "scalar", "nan", "inf", "complex", "complex-block"])
 def test_gmres_rejects_bad_rhs(b, match):
     # named before the first iteration: neither A nor P^{-1} is applied
     def never(v):
@@ -218,6 +228,20 @@ def test_h2_matvec_rejects_bad_shapes():
     for shape in [(199,), (200, 2, 1), (2, 200), ()]:
         with pytest.raises(ValueError, match=r"expected shape \(200,\) or \(200, m\)"):
             h2_matvec(ops, np.zeros(shape))
+
+
+def test_h2_matvec_rejects_complex():
+    # converting to float would drop the imaginary part with only a
+    # warning; int and bool inputs are still taken as floats
+    pts = cube_uniform(200, seed=1).points
+    tree, ops = make_ops(pts, benchmark_kernel(1e-2), n=2)
+    for z in (np.ones(200) + 1j, np.ones((200, 2), dtype=complex)):
+        with pytest.raises(ValueError, match="x must be real, got dtype complex128"):
+            h2_matvec(ops, z)
+    for shape in ((200,), (200, 2)):
+        y = h2_matvec(ops, np.ones(shape))
+        for dtype in (int, bool):
+            np.testing.assert_array_equal(h2_matvec(ops, np.ones(shape, dtype=dtype)), y)
 
 
 def test_h2_matvec_error_below_construction_error():
